@@ -18,7 +18,6 @@ from .exactpoly import (
     multinomial,
     permute_blocks,
     poly_interpolate,
-    poly_mul,
     series_inverse,
 )
 from .grassmann import GrassmannInstance, catalan_degree, schubert_degree, syt_count

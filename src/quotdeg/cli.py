@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import jsonschema
@@ -150,13 +148,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QUOTDEG_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _poly_json(poly: DegreePolynomial) -> list[str]:
     return [str(c) for c in poly.coefficients]
 
@@ -181,10 +172,7 @@ def _cmd_degree2(args) -> int:
     if args.sweep:
         lo, hi = args.sweep
         points = range(lo, hi + 1)
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            values = list(
-                pool.map(lambda n: runner(Quot2Instance(S, E, n * direction)), points)
-            )
+        values = [runner(Quot2Instance(S, E, n * direction)) for n in points]
         print("n,degree")
         for n, value in zip(points, values):
             print(f"{n},{value}")

@@ -1,17 +1,47 @@
 """Exact rational arithmetic and truncated multivariate polynomial algebra.
 
-A polynomial is a sparse map from monomials (exponent tuples, one entry per
-ring generator) to rational coefficients (`fractions.Fraction`).  Every
-generator has degree 1 and a truncation order t, meaning g^t = 0; a generator
-may additionally carry a rewrite relation g^t = (lower g-powers), which is how
-projective-bundle rings are realised.  Generators are grouped into blocks so
-that rings of the form A(X)^{\\otimes l} know their factor structure and can be
-acted on by block permutations.
+Every generator has degree 1 and a truncation order t, meaning g^t = 0; a
+generator may instead carry a rewrite relation g^t = (lower g-powers), which
+is how projective-bundle rings are realised.  Generators are grouped into
+blocks so that rings of the form A(X)^{\\otimes l} know their factor
+structure and can be acted on by block permutations.
 
-All values are immutable after construction and all operations are pure, so
-everything here is safe to evaluate concurrently.  Results never depend on
-term iteration order: coefficients are exact rationals and serialization is
-fixed to lexicographic order on exponent vectors.
+Representation.  A `TruncPoly` stores its terms as packed monomials bucketed
+by total degree, with `int` numerators over one common denominator:
+
+* Packed monomials.  Each ring computes its layout once
+  (`RingDescriptor._layout`): generator i owns a bit field of w_i value bits,
+  with w_i the bit length of 2(t_i - 1), so the field holds the sum of any two
+  normal-form exponents, followed by one guard bit.  Multiplying monomials is
+  one int add.  The bias mask holds 2^{w_i} - t_i in every field, so adding it
+  sets the guard bit of exactly those fields whose exponent reached t_i, and
+  carries never cross into the next field.  One add and one AND against the
+  guard bits of the plain (relation-free) generators is then the truncation
+  test; the same sum ANDed with the guard bits of the related generators
+  finds the terms that need the z^r rewrite.
+* The rewrite.  For a related generator z with relation power r the layout
+  holds the normal form of z^e for every e in r..2(r-1), the largest power a
+  product of two normal forms reaches, so each rewrite is one pass over a
+  precomputed table (`_reduce_terms`).  Relation terms involve only plain
+  generators and z itself, so rewriting one related generator never raises
+  another, and exponents never outgrow their fields.
+* Degree buckets.  Every relation is homogeneous, so the rewrite preserves
+  degree, and a normal-form monomial has degree at most
+  `RingDescriptor.max_degree`.  A product of a degree-i bucket with a
+  degree-j bucket therefore vanishes once i + j exceeds it, and is never
+  formed.
+* Coefficients.  Numerators are ints over one positive denominator, and the
+  pair (denominator, numerators) is kept reduced, so two equal polynomials
+  have identical storage.  Relation coefficients are integers (Chern classes
+  of line bundles are), so the rewrite stays in the integers.
+
+`Fraction` and exponent tuples appear only where data enters or leaves: the
+`TruncPoly(ring, terms)` constructor, the `.terms` mapping (built on first
+use), `coefficient`, `to_dict` and `repr`.
+
+All values are immutable after construction and all operations are pure.
+Results never depend on term iteration order: coefficients are exact and
+serialization is fixed to lexicographic order on exponent vectors.
 """
 
 from __future__ import annotations
@@ -19,8 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import factorial, gcd, lcm
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, RingMismatchError
 
@@ -33,7 +63,6 @@ __all__ = [
     "Relation",
     "RingDescriptor",
     "TruncPoly",
-    "poly_mul",
     "series_inverse",
     "permute_blocks",
     "map_blocks",
@@ -55,6 +84,22 @@ class Relation:
     terms: tuple[tuple[Monomial, Fraction], ...]
 
 
+class _Layout(NamedTuple):
+    """Packed-monomial layout of one ring (see the module docstring)."""
+
+    shifts: tuple[int, ...]
+    value_masks: tuple[int, ...]
+    bias: int
+    trunc_guard: int
+    rel_guard: int
+    # (shift, value mask, power, table) per relation; table[e - power] holds
+    # the normal form of gen^e as (packed monomial, int coefficient) pairs
+    rewrites: tuple[tuple[int, int, int, list], ...]
+
+    def pack(self, mono: Monomial) -> int:
+        return sum(e << s for e, s in zip(mono, self.shifts))
+
+
 @dataclass(frozen=True)
 class RingDescriptor:
     """Shape of a truncated polynomial ring.
@@ -64,6 +109,9 @@ class RingDescriptor:
     holds at most one rewrite rule per generator (used for the tautological
     class of a projective bundle); a related generator's truncation must
     equal the relation power, so normal forms keep its exponent below it.
+    Relations are homogeneous with integer coefficients, and their terms
+    are normal-form monomials in the plain generators and the related
+    generator itself.
     """
 
     names: tuple[str, ...]
@@ -89,9 +137,19 @@ class RingDescriptor:
         for r in self.relations:
             if self.truncations[r.gen] != r.power:
                 raise ValueError("relation power must equal the generator truncation")
-            for mono, _ in r.terms:
+            for mono, coeff in r.terms:
                 if len(mono) != len(self.names) or mono[r.gen] >= r.power:
                     raise ValueError("relation terms must lower the generator power")
+                if sum(mono) != r.power:
+                    raise ValueError("relations must be homogeneous")
+                if Fraction(coeff).denominator != 1:
+                    raise ValueError("relation coefficients must be integers")
+                for i, e in enumerate(mono):
+                    if e >= self.truncations[i] or (e and i != r.gen and i in rel_gens):
+                        raise ValueError(
+                            "relation terms must be normal-form monomials in the "
+                            "plain generators and the related generator"
+                        )
 
     @property
     def ngens(self) -> int:
@@ -102,18 +160,46 @@ class RingDescriptor:
         return {r.gen: r for r in self.relations}
 
     @cached_property
-    def _plain_gens(self) -> tuple[int, ...]:
-        rel = set(self._relation_map)
-        return tuple(i for i in range(self.ngens) if i not in rel)
-
-    @cached_property
     def max_degree(self) -> int:
         """Largest total degree of a normal-form monomial."""
         return sum(t - 1 for t in self.truncations)
 
     @cached_property
-    def unit_monomial(self) -> Monomial:
-        return (0,) * self.ngens
+    def _layout(self) -> _Layout:
+        shifts, value_masks = [], []
+        bias = trunc_guard = rel_guard = 0
+        offset = 0
+        for i, t in enumerate(self.truncations):
+            width = (2 * t - 2).bit_length()
+            shifts.append(offset)
+            value_masks.append((1 << width) - 1)
+            bias |= ((1 << width) - t) << offset
+            if i in self._relation_map:
+                rel_guard |= 1 << (offset + width)
+            else:
+                trunc_guard |= 1 << (offset + width)
+            offset += width + 1
+        layout = _Layout(
+            tuple(shifts),
+            tuple(value_masks),
+            bias,
+            trunc_guard,
+            rel_guard,
+            tuple((shifts[r.gen], value_masks[r.gen], r.power, []) for r in self.relations),
+        )
+        for r, (shift, _, power, table) in zip(self.relations, layout.rewrites):
+            row: dict[int, int] = {}
+            for mono, coeff in r.terms:
+                m = layout.pack(mono)
+                row[m] = row.get(m, 0) + int(coeff)
+            table.append(tuple((m, c) for m, c in row.items() if c))
+            # gen^(e+1) = gen * (normal form of gen^e); reducing that needs
+            # only the gen^power row, which is the relation itself
+            for _ in range(power + 1, 2 * power - 1):
+                bucket = {m + (1 << shift): c for m, c in table[-1]}
+                _reduce_terms(layout, [bucket])
+                table.append(tuple((m, c) for m, c in bucket.items() if c))
+        return layout
 
     def monomial_str(self, mono: Monomial) -> str:
         parts = [f"{n}^{e}" for n, e in zip(self.names, mono) if e]
@@ -157,61 +243,136 @@ class RingDescriptor:
         return len(sigs) == 1 and None not in sigs
 
 
-def _reduce_terms(ring: RingDescriptor, items: Iterable[tuple[Monomial, Fraction]]) -> dict:
-    """Apply relations and truncations, drop zero coefficients."""
-    relations = ring.relations
-    trunc = ring.truncations
-    plain = ring._plain_gens
-    out: dict[Monomial, Fraction] = {}
-    stack = list(items)
-    while stack:
-        mono, coeff = stack.pop()
-        if not coeff:
-            continue
-        if any(mono[i] >= trunc[i] for i in plain):
-            continue
-        rel = None
-        for r in relations:
-            if mono[r.gen] >= r.power:
-                rel = r
-                break
-        if rel is None:
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = coeff
-            else:
-                total = prev + coeff
-                if total:
-                    out[mono] = total
-                else:
-                    del out[mono]
-            continue
-        lowered = list(mono)
-        lowered[rel.gen] -= rel.power
-        for rmono, rcoeff in rel.terms:
-            stack.append((tuple(a + b for a, b in zip(lowered, rmono)), coeff * rcoeff))
-    return out
+def _reduce_terms(layout: _Layout, buckets: list[dict]) -> None:
+    """Rewrite in place every term whose related exponent reached its
+    relation power; the caller drops the zero coefficients this leaves.
+
+    A term's plain exponents are below their truncations on entry, and a
+    rewritten term keeps its degree, so it stays in its bucket.
+    """
+    bias, trunc_guard, rel_guard = layout.bias, layout.trunc_guard, layout.rel_guard
+    for bucket in buckets:
+        for mono in [m for m in bucket if (m + bias) & rel_guard]:
+            terms = [(mono, bucket.pop(mono))]
+            for shift, value_mask, power, table in layout.rewrites:
+                rewritten = []
+                for m, c in terms:
+                    e = (m >> shift) & value_mask
+                    if e < power:
+                        rewritten.append((m, c))
+                        continue
+                    rest = m - (e << shift)
+                    for dm, dc in table[e - power]:
+                        m2 = rest + dm
+                        if not (m2 + bias) & trunc_guard:
+                            rewritten.append((m2, c * dc))
+                terms = rewritten
+            for m, c in terms:
+                bucket[m] = bucket.get(m, 0) + c
+
+
+class _Terms(Mapping):
+    """Read-only monomial -> Fraction view of a `TruncPoly`.  Its length
+    comes from the buckets; the dict behind every other query is built on
+    first use and kept on the polynomial."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "TruncPoly"):
+        self._poly = poly
+
+    def __len__(self):
+        return sum(map(len, self._poly._buckets))
+
+    def __iter__(self):
+        return iter(self._poly._as_dict())
+
+    def __getitem__(self, mono):
+        return self._poly._as_dict()[mono]
+
+    def items(self):
+        return self._poly._as_dict().items()
 
 
 class TruncPoly:
     """Immutable element of a truncated polynomial ring."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "_den", "_buckets", "_dict", "_hash")
 
-    def __init__(self, ring: RingDescriptor, terms, *, _normalized: bool = False):
+    def __init__(self, ring: RingDescriptor, terms):
+        """Normal form of a sum of (monomial, coefficient) terms, given as a
+        mapping or an iterable of pairs; coefficients are ints or Fractions."""
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        layout = ring._layout
+        related = ring._relation_map
+        trunc = ring.truncations
+        top = ring.max_degree
+        normal, raised = [], []
+        for mono, coeff in items:
+            coeff = Fraction(coeff)
+            if not coeff or sum(mono) > top:
+                continue  # a relation keeps the degree, so the term reduces to 0
+            over = [i for i, (e, t) in enumerate(zip(mono, trunc)) if e >= t]
+            if not over:
+                normal.append((mono, coeff))
+            elif all(i in related for i in over):
+                raised.append((mono, coeff, over[0]))
+        den = lcm(*(coeff.denominator for _, coeff in normal))
+        buckets: list[dict] = [{} for _ in range(top + 1)]
+        for mono, coeff in normal:
+            bucket = buckets[sum(mono)]
+            m = layout.pack(mono)
+            bucket[m] = bucket.get(m, 0) + coeff.numerator * (den // coeff.denominator)
+        value = TruncPoly._make(ring, den, [{m: c for m, c in b.items() if c} for b in buckets])
+        for mono, coeff, i in raised:
+            # gen^e = gen^(e - power) * (its relation), multiplied out by the kernel
+            lowered = list(mono)
+            lowered[i] -= related[i].power
+            relation = TruncPoly(ring, related[i].terms)
+            value = value + TruncPoly(ring, [(tuple(lowered), coeff)]) * relation
         self.ring = ring
-        if _normalized:
-            self.terms = terms
-        else:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            self.terms = _reduce_terms(ring, items)
+        self._den = value._den
+        self._buckets = value._buckets
+        self._dict = None
         self._hash = None
+
+    @classmethod
+    def _make(cls, ring: RingDescriptor, den: int, buckets: list[dict]) -> "TruncPoly":
+        """Wrap buckets free of zero coefficients, reducing the fraction."""
+        while buckets and not buckets[-1]:
+            buckets.pop()
+        if not buckets:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *(c for b in buckets for c in b.values()))
+            if g != 1:
+                den //= g
+                buckets = [{m: c // g for m, c in b.items()} for b in buckets]
+        obj = cls.__new__(cls)
+        obj.ring = ring
+        obj._den = den
+        obj._buckets = buckets
+        obj._dict = None
+        obj._hash = None
+        return obj
+
+    def _as_dict(self) -> dict[Monomial, Fraction]:
+        if self._dict is None:
+            layout = self.ring._layout
+            fields = tuple(zip(layout.shifts, layout.value_masks))
+            den = self._den
+            self._dict = {
+                tuple((m >> s) & v for s, v in fields): Fraction(c, den)
+                for b in self._buckets
+                for m, c in b.items()
+            }
+        return self._dict
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, ring: RingDescriptor) -> "TruncPoly":
-        return cls(ring, {}, _normalized=True)
+        return cls._make(ring, 1, [])
 
     @classmethod
     def one(cls, ring: RingDescriptor) -> "TruncPoly":
@@ -222,62 +383,91 @@ class TruncPoly:
         value = Fraction(value)
         if not value:
             return cls.zero(ring)
-        return cls(ring, {ring.unit_monomial: value}, _normalized=True)
+        return cls._make(ring, value.denominator, [{0: value.numerator}])
 
     @classmethod
     def generator(cls, ring: RingDescriptor, i: int) -> "TruncPoly":
         mono = tuple(1 if j == i else 0 for j in range(ring.ngens))
-        return cls(ring, [(mono, Fraction(1))])
+        return cls(ring, [(mono, 1)])
 
     # -- inspection ---------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        return _Terms(self)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._buckets
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(self.ring.unit_monomial, Fraction(0))
+        if not self._buckets:
+            return Fraction(0)
+        return Fraction(self._buckets[0].get(0, 0), self._den)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        mono = tuple(mono)
+        degree = sum(mono)
+        if (
+            len(mono) != self.ring.ngens
+            or degree >= len(self._buckets)
+            or any(not 0 <= e < t for e, t in zip(mono, self.ring.truncations))
+        ):
+            return Fraction(0)
+        return Fraction(self._buckets[degree].get(self.ring._layout.pack(mono), 0), self._den)
 
     def sorted_terms(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(sorted(self.terms.items()))
+        return iter(sorted(self._as_dict().items()))
 
     def total_degree(self) -> int:
         """Largest degree among the terms; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
+        return len(self._buckets) - 1
 
     def graded_part(self, k: int) -> "TruncPoly":
-        part = {m: c for m, c in self.terms.items() if sum(m) == k}
-        return TruncPoly(self.ring, part, _normalized=True)
+        if not 0 <= k < len(self._buckets):
+            return TruncPoly.zero(self.ring)
+        return TruncPoly._make(self.ring, self._den, [{}] * k + [self._buckets[k]])
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self.terms}
-        return len(degrees) <= 1
+        return sum(1 for b in self._buckets if b) <= 1
 
     # -- arithmetic ---------------------------------------------------
 
     def _check_ring(self, other: "TruncPoly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError("operands belong to different rings")
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TruncPoly.constant(self.ring, other)
+        elif not isinstance(other, TruncPoly):
+            return NotImplemented
         self._check_ring(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            total = out.get(m, Fraction(0)) + c
-            if total:
-                out[m] = total
-            else:
-                out.pop(m, None)
-        return TruncPoly(self.ring, out, _normalized=True)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        A, B = self._buckets, other._buckets
+        out = []
+        for k in range(max(len(A), len(B))):
+            a = A[k] if k < len(A) else {}
+            b = B[k] if k < len(B) else {}
+            if not b and sa == 1:
+                out.append(a)  # buckets are never mutated once wrapped
+                continue
+            acc = dict(a) if sa == 1 else {m: c * sa for m, c in a.items()}
+            for m, c in b.items():
+                total = acc.get(m, 0) + c * sb
+                if total:
+                    acc[m] = total
+                else:
+                    del acc[m]
+            out.append(acc)
+        return TruncPoly._make(self.ring, den, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncPoly(self.ring, {m: -c for m, c in self.terms.items()}, _normalized=True)
+        return TruncPoly._make(
+            self.ring, self._den, [{m: -c for m, c in b.items()} for b in self._buckets]
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -292,20 +482,44 @@ class TruncPoly:
             if not other:
                 return TruncPoly.zero(self.ring)
             other = Fraction(other)
-            return TruncPoly(
-                self.ring, {m: c * other for m, c in self.terms.items()}, _normalized=True
+            p = other.numerator
+            return TruncPoly._make(
+                self.ring,
+                self._den * other.denominator,
+                [{m: c * p for m, c in b.items()} for b in self._buckets],
             )
+        if not isinstance(other, TruncPoly):
+            return NotImplemented
         self._check_ring(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        raw: dict[Monomial, Fraction] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                prev = raw.get(m)
-                raw[m] = c1 * c2 if prev is None else prev + c1 * c2
-        return TruncPoly(self.ring, raw.items())
+        ring = self.ring
+        layout = ring._layout
+        bias, guard = layout.bias, layout.trunc_guard
+        top = ring.max_degree
+        A, B = self._buckets, other._buckets
+        out: list[dict] = [{} for _ in range(min(len(A) + len(B) - 1, top + 1))]
+        for i, bucket_a in enumerate(A):
+            if not bucket_a:
+                continue
+            for j in range(min(len(B), top + 1 - i)):
+                bucket_b = B[j]
+                if not bucket_b:
+                    continue
+                acc = out[i + j]
+                get = acc.get
+                outer, inner = bucket_a, bucket_b
+                if len(outer) > len(inner):
+                    outer, inner = inner, outer
+                inner_items = inner.items()
+                for m1, c1 in outer.items():
+                    for m2, c2 in inner_items:
+                        m = m1 + m2
+                        if not (m + bias) & guard:
+                            acc[m] = get(m, 0) + c1 * c2
+        if layout.rel_guard:
+            _reduce_terms(layout, out)
+        return TruncPoly._make(
+            ring, self._den * other._den, [{m: c for m, c in b.items() if c} for b in out]
+        )
 
     __rmul__ = __mul__
 
@@ -327,15 +541,21 @@ class TruncPoly:
             other = TruncPoly.constant(self.ring, other)
         if not isinstance(other, TruncPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (
+            self.ring == other.ring
+            and self._den == other._den
+            and self._buckets == other._buckets
+        )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
+            self._hash = hash(
+                (self.ring, self._den, tuple(frozenset(b.items()) for b in self._buckets))
+            )
         return self._hash
 
     def __repr__(self):
-        if not self.terms:
+        if not self._buckets:
             return "0"
         bits = []
         for mono, coeff in self.sorted_terms():
@@ -355,11 +575,6 @@ class TruncPoly:
             coeff = Fraction(str(coeff_s).replace("−", "-"))
             items.append((ring.monomial_from_str(mono_s), coeff))
         return cls(ring, items)
-
-
-def poly_mul(a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    """Product in the truncated ring."""
-    return a * b
 
 
 def series_inverse(a: TruncPoly) -> TruncPoly:

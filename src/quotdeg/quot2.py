@@ -40,6 +40,7 @@ from .varieties import (
     ring_of,
     segre_class,
     segre_scheme,
+    segre_total,
     twist,
     zeta,
 )
@@ -98,14 +99,17 @@ def degree2_formula(inst: Quot2Instance) -> Fraction:
     """
     S, d, p, r = inst.S, inst.d, inst.p, inst.E.rank
     EL = twist(inst.E, inst.Lc1)
-    sd = integrate(S, segre_class(EL, d))
+    segre_EL = segre_total(EL)
+    sd = integrate(S, segre_EL.graded_part(d))
     total = Fraction(1, 2) * binomial(2 * p, p) * sd**2
     segre_S = segre_scheme(S)
     correction = Fraction(0)
     for k in range(d + 1):
         J = TruncPoly.zero(ring_of(S))
         for j in range(d - k + 1):
-            J = J + a_coeff(r, d, k, j) * segre_class(EL, d - k - j) * segre_class(EL, j)
+            J = J + (
+                a_coeff(r, d, k, j) * segre_EL.graded_part(d - k - j) * segre_EL.graded_part(j)
+            )
         correction += integrate(S, segre_S.graded_part(k) * J)
     return total - Fraction(2) ** (p - 1) * correction
 
@@ -114,6 +118,7 @@ def _fibre_integrals_closed(inst: Quot2Instance) -> list[Fraction]:
     """I_m for m = 0..p from the closed double sum in Segre classes."""
     S, d, p, r = inst.S, inst.d, inst.p, inst.E.rank
     EL = twist(inst.E, inst.Lc1)
+    segre_EL = segre_total(EL)
     segre_S = segre_scheme(S)
     out = []
     for m in range(p + 1):
@@ -125,8 +130,8 @@ def _fibre_integrals_closed(inst: Quot2Instance) -> list[Fraction]:
                     inner
                     + Fraction(-1) ** j
                     * binomial(r - 1 + m - k, m - d + j)
-                    * segre_class(EL, d - k - j)
-                    * segre_class(EL, j)
+                    * segre_EL.graded_part(d - k - j)
+                    * segre_EL.graded_part(j)
                 )
             if k > m and not inner.is_zero():
                 raise CrossCheckError("inner Segre sum failed to vanish above the fibre power")

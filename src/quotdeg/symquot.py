@@ -41,6 +41,7 @@ from .varieties import (
     power_ring,
     ring_of,
     segre_class,
+    segre_total,
     twist,
 )
 
@@ -112,7 +113,8 @@ def nu_class(S: SpaceDescriptor, E: SplitBundle, l: int, k: int) -> SymClassRep:
         raise DomainError("k out of range")
     r = E.rank
     target = power_ring(S, l)
-    segre = [segre_class(E, i) for i in range(min(k, d) + 1)]
+    segre_E = segre_total(E)
+    segre = [segre_E.graded_part(i) for i in range(min(k, d) + 1)]
     total = TruncPoly.zero(target)
     weight_num = factorial(l * (r - 1) + k)
     for parts in compositions(k, l):

@@ -202,13 +202,6 @@ def test_cross_check_failure_exits_3(capsys, monkeypatch):
     assert json.loads(out)["error"] == "forced"
 
 
-def test_thread_env_does_not_change_output(capsys, p1_rank2, monkeypatch):
-    _, base = run(capsys, ["degree2", "--input", p1_rank2, "--sweep", "n=0..4"])
-    monkeypatch.setenv("QUOTDEG_THREADS", "4")
-    _, threaded = run(capsys, ["degree2", "--input", p1_rank2, "--sweep", "n=0..4"])
-    assert base == threaded
-
-
 def test_leading_l_from_file(capsys, tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(

@@ -6,6 +6,7 @@ import pytest
 from quotdeg.errors import DomainError, RingMismatchError
 from quotdeg.exactpoly import (
     DegreePolynomial,
+    Relation,
     RingDescriptor,
     TruncPoly,
     binomial,
@@ -14,6 +15,14 @@ from quotdeg.exactpoly import (
     permute_blocks,
     poly_interpolate,
     series_inverse,
+)
+from quotdeg.varieties import (
+    ProjBundle,
+    ProjProduct,
+    SplitBundle,
+    divisor_from_vector,
+    power_ring,
+    segre_scheme,
 )
 
 
@@ -218,3 +227,139 @@ def test_map_blocks_folding_is_diagonal_restriction():
     folded = map_blocks(h1 * h2**2 + h1 * h2, single, (0, 0))
     h = gen(single)
     assert folded == h**3 + h**2
+
+
+# -- the packed kernel against a schoolbook reference ------------------------
+
+
+def reference_normal_form(ring, items):
+    """Tuple monomials and Fractions: rewrite gen^power by its relation
+    until no relation applies, drop truncated monomials, collect terms."""
+    related = {r.gen: r for r in ring.relations}
+    out = {}
+    stack = [(tuple(m), Fraction(c)) for m, c in items]
+    while stack:
+        mono, coeff = stack.pop()
+        if not coeff:
+            continue
+        if any(e >= t for i, (e, t) in enumerate(zip(mono, ring.truncations)) if i not in related):
+            continue
+        rel = next((r for r in ring.relations if mono[r.gen] >= r.power), None)
+        if rel is None:
+            out[mono] = out.get(mono, 0) + coeff
+            continue
+        lowered = list(mono)
+        lowered[rel.gen] -= rel.power
+        for rmono, rcoeff in rel.terms:
+            stack.append((tuple(a + b for a, b in zip(lowered, rmono)), coeff * rcoeff))
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_product(a, b):
+    raw = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            raw[m] = raw.get(m, 0) + c1 * c2
+    return reference_normal_form(a.ring, raw.items())
+
+
+def random_terms(rng, ring, nterms, overshoot=0):
+    items = []
+    for _ in range(nterms):
+        mono = tuple(rng.randrange(t + overshoot) for t in ring.truncations)
+        items.append((mono, Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))))
+    return items
+
+
+def _bundle_ring(dims, roots):
+    S = ProjProduct(dims)
+    E = SplitBundle(tuple(divisor_from_vector(S, v) for v in roots))
+    return power_ring(ProjBundle(S, E), 2)
+
+
+# plain truncations 1, 2, 4, 8 and 9 sit on field-width boundaries (the
+# field must hold 2(t - 1): widths 0, 2, 3, 4 and 5 value bits)
+WIDTH_RING = RingDescriptor(
+    ("a", "b", "c", "d", "e", "f"), (1, 2, 4, 8, 9, 3), ((0, 1, 2), (3, 4, 5))
+)
+# squares of P(E) for relation ranks 1..5, so z reaches 2(r - 1) in a product
+KERNEL_RINGS = {
+    "widths": WIDTH_RING,
+    "P1-r1": _bundle_ring((1,), ((0,),)),
+    "P1-r2": _bundle_ring((1,), ((0,), (1,))),
+    "P2-r3": _bundle_ring((2,), ((1,), (0,), (-1,))),
+    "P1xP1-r4": _bundle_ring((1, 1), ((0, 0), (1, 0), (0, 1), (2, -1))),
+    "P2-r5": _bundle_ring((2,), ((0,), (1,), (2,), (-1,), (3,))),
+}
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS.values(), ids=KERNEL_RINGS.keys())
+def test_kernel_matches_reference_product(ring):
+    rng = random.Random(20240)
+    for _ in range(30):
+        a = TruncPoly(ring, random_terms(rng, ring, rng.randrange(1, 7)))
+        b = TruncPoly(ring, random_terms(rng, ring, rng.randrange(1, 7)))
+        ab = a * b
+        assert dict(ab.terms) == reference_product(a, b)
+        # denser operands reach the top degree buckets and the largest
+        # related exponents, 2(r - 1), before the rewrite
+        c = TruncPoly(ring, random_terms(rng, ring, rng.randrange(1, 7)))
+        assert dict((ab * c).terms) == reference_product(ab, c)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS.values(), ids=KERNEL_RINGS.keys())
+def test_constructor_matches_reference(ring):
+    rng = random.Random(404)
+    for _ in range(30):
+        items = random_terms(rng, ring, rng.randrange(0, 8), overshoot=6)
+        assert dict(TruncPoly(ring, items).terms) == reference_normal_form(ring, items)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS.values(), ids=KERNEL_RINGS.keys())
+def test_series_inverse_times_unit(ring):
+    rng = random.Random(77)
+    for _ in range(10):
+        u = TruncPoly(ring, random_terms(rng, ring, 6))
+        u = u - u.constant_term() + 1
+        assert series_inverse(u) * u == TruncPoly.one(ring)
+
+
+def test_kernel_generators_of_each_width():
+    a, b, c, d, e, f = (gen(WIDTH_RING, i) for i in range(6))
+    assert a.is_zero()
+    assert b * b == 0 and not b.is_zero()
+    assert c**3 != 0 and c**4 == 0
+    assert d**7 != 0 and d**8 == 0
+    assert e**8 != 0 and e**9 == 0
+    assert (b * c**3 * d**7 * e**8 * f**2).total_degree() == WIDTH_RING.max_degree
+
+
+def test_projbundle_segre_class_golden():
+    P2 = ProjProduct((2,))
+    E = SplitBundle(tuple(divisor_from_vector(P2, v) for v in ((0,), (1,), (-2,))))
+    data = segre_scheme(ProjBundle(P2, E)).to_dict()
+    assert list(data.items()) == [
+        ("1", "1"),
+        ("z^1", "-3"),
+        ("z^2", "6"),
+        ("h1^1", "-4"),
+        ("h1^1*z^1", "13"),
+        ("h1^1*z^2", "-18"),
+        ("h1^2", "12"),
+        ("h1^2*z^1", "-65"),
+        ("h1^2*z^2", "106"),
+    ]
+
+
+def test_relation_validation():
+    def ring(*terms):
+        return RingDescriptor(("h", "z"), (3, 2), ((0, 1),), (Relation(1, 2, terms),))
+
+    ring(((1, 1), Fraction(2)), ((2, 0), Fraction(-1)))
+    with pytest.raises(ValueError, match="homogeneous"):
+        ring(((1, 0), Fraction(1)),)
+    with pytest.raises(ValueError, match="integers"):
+        ring(((1, 1), Fraction(1, 2)),)
+    with pytest.raises(ValueError, match="normal-form"):
+        RingDescriptor(("h", "z"), (2, 2), ((0, 1),), (Relation(1, 2, (((2, 0), Fraction(1)),)),))

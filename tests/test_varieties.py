@@ -88,7 +88,7 @@ def test_segre_scheme_cross_representation():
     X = ProjBundle(P1, line_bundles(P1, (0,), (0,)))
     sX = segre_scheme(X)
     sP = segre_scheme(P1xP1)
-    translated = TruncPoly(ring_of(P1xP1), list(sX.terms.items()), _normalized=False)
+    translated = TruncPoly(ring_of(P1xP1), list(sX.terms.items()))
     assert {m: c for m, c in translated.terms.items()} == sP.terms
 
 
