@@ -10,7 +10,6 @@ from .errors import CrossCheckError, DomainError, RingMismatchError
 from .exactpoly import (
     DegreePolynomial,
     Monomial,
-    Rational,
     RingDescriptor,
     TruncPoly,
     binomial,
@@ -63,7 +62,6 @@ from .symquot import (
     nu_twist_check,
 )
 from .varieties import (
-    ChowClass,
     ProjBundle,
     ProjProduct,
     SpaceDescriptor,

@@ -54,11 +54,9 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, RingMismatchError
 
-Rational = Fraction
 Monomial = tuple[int, ...]
 
 __all__ = [
-    "Rational",
     "Monomial",
     "Relation",
     "RingDescriptor",

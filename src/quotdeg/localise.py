@@ -23,6 +23,26 @@ and the fibre of the twisted tautological sheaf has characters
 Instead of symbolic rational functions, each sum is evaluated at several
 concrete generic integer weight draws; all draws must agree exactly and the
 common value must be an integer.
+
+`enumerate_fixed_points`, `tangent_weights` and `taut_weight_sum` state the
+recipe point by point.  The sum itself is evaluated side by side: the
+weights at 0 depend only on b and those at infinity only on c (and a), so
+each draw builds, for every length k <= l, one table of (D0(b), s0(b)) and
+one of (Dinf(c), sinf(c)) over the compositions of k into r parts, where D
+is the product of that side's tangent weights (taken over integer ranges)
+and s its share of the fibre-character sum:
+
+  s0(b)   = sum_j b_j e_j + w b_j (b_j - 1)/2
+  sinf(c) = sum_j c_j e_j + w (c_j (a_j + n) - c_j (c_j - 1)/2).
+
+A point (b, c) contributes the integer pair ((s0 + sinf)^{lr}, D0 Dinf);
+the pairs are summed pairwise, in a balanced order that holds only
+O(log #points) partial sums, over common denominators (one gcd of the two
+denominators per merge) and reduced to a Fraction once per draw.  A zero
+entry in either table is a zero tangent weight at some fixed point, since
+every b and c of length at most l occurs in one, so it rejects exactly the
+draws the pointwise recipe rejects; the redraws, the consensus of the
+draws and the integrality check are unchanged.
 """
 
 from __future__ import annotations
@@ -30,6 +50,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import gcd, prod
 from typing import Sequence
 
 from .errors import CrossCheckError, DomainError
@@ -130,19 +152,59 @@ def _draw(seed: int, index: int, r: int) -> WeightAssignment:
     return WeightAssignment(e, w)
 
 
-def _fixed_point_sum(
-    points: list[FixedPointDatum], a: Sequence[int], l: int, n: int, wt: WeightAssignment
-) -> Fraction:
+def _side_tables(
+    a: Sequence[int], l: int, n: int, wt: WeightAssignment
+) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+    """(D0, s0) and (Dinf, sinf) for every composition of every k <= l,
+    indexed by k; raises if a tangent weight vanishes.  Each composition is
+    read once as b (at 0) and once as c (at infinity)."""
+    e, w = wt.e, wt.w
+    zero, infinity = [], []
+    for k in range(l + 1):
+        zero_row, infinity_row = [], []
+        for b in compositions(k, len(a)):
+            d0 = dinf = 1
+            s0 = sinf = 0
+            for j, bj in enumerate(b):
+                s0 += bj * e[j] + w * (bj * (bj - 1) // 2)
+                sinf += bj * e[j] + w * (bj * (a[j] + n) - bj * (bj - 1) // 2)
+                if bj:
+                    for i, bi in enumerate(b):
+                        at_zero = e[j] - e[i] - bi * w
+                        d0 *= prod(range(at_zero, at_zero + bj * w, w))
+                        at_infinity = e[j] - e[i] + (a[j] - a[i] + bi) * w
+                        dinf *= prod(range(at_infinity, at_infinity - bj * w, -w))
+            if d0 == 0 or dinf == 0:
+                raise NonGenericWeightsError("zero tangent weight")
+            zero_row.append((d0, s0))
+            infinity_row.append((dinf, sinf))
+        zero.append(zero_row)
+        infinity.append(infinity_row)
+    return zero, infinity
+
+
+def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """Sum of two (numerator, denominator) pairs over the lcm of the
+    denominators; the numerator is left unreduced."""
+    (p, q), (p2, q2) = x, y
+    g = gcd(q, q2)
+    return p * (q2 // g) + p2 * (q // g), q // g * q2
+
+
+def _fixed_point_sum(a: Sequence[int], l: int, n: int, wt: WeightAssignment) -> Fraction:
+    zero, infinity = _side_tables(a, l, n, wt)
     exponent = l * len(a)
-    total = Fraction(0)
-    for pt in points:
-        weights = tangent_weights(pt, a, wt)
-        numerator = taut_weight_sum(pt, a, n, wt) ** exponent
-        denominator = 1
-        for x in weights:
-            denominator *= x
-        total += Fraction(numerator, denominator)
-    return total
+    # pairwise summation: each stack entry sums `size` consecutive points,
+    # and two entries of one size merge, so operands stay balanced
+    stack = []
+    for k in range(l + 1):
+        for d0, s0 in zero[k]:
+            for dinf, sinf in infinity[l - k]:
+                term, size = ((s0 + sinf) ** exponent, d0 * dinf), 1
+                while stack and stack[-1][1] == size:
+                    term, size = _add(stack.pop()[0], term), 2 * size
+                stack.append((term, size))
+    return Fraction(*reduce(_add, (term for term, _ in reversed(stack))))
 
 
 def plucker_degree_localised(
@@ -162,13 +224,14 @@ def plucker_degree_localised(
         raise DomainError("length must be nonnegative")
     if draws < 1:
         raise DomainError("need at least one draw")
-    points = enumerate_fixed_points(r, l)
+    if r < 1:
+        raise DomainError("need r >= 1 and l >= 0")
     values = []
     for index in range(draws):
         for attempt in range(200):
             wt = _draw(seed, 7919 * index + attempt, r)
             try:
-                values.append(_fixed_point_sum(points, a, l, n, wt))
+                values.append(_fixed_point_sum(a, l, n, wt))
                 break
             except NonGenericWeightsError:
                 continue

@@ -47,7 +47,6 @@ __all__ = [
     "ProjBundle",
     "SpaceDescriptor",
     "SplitBundle",
-    "ChowClass",
     "ring_of",
     "power_ring",
     "hyperplane",
@@ -56,7 +55,6 @@ __all__ = [
     "block_embed",
     "boxsum",
     "chern_total",
-    "chern_class",
     "segre_total",
     "segre_class",
     "segre_scheme",
@@ -71,8 +69,6 @@ __all__ = [
     "diagonal_pushforward",
     "euler_number",
 ]
-
-ChowClass = TruncPoly
 
 
 @dataclass(frozen=True)
@@ -254,10 +250,6 @@ def chern_total(E: SplitBundle) -> TruncPoly:
     return total
 
 
-def chern_class(E: SplitBundle, i: int) -> TruncPoly:
-    return chern_total(E).graded_part(i)
-
-
 def segre_total(E: SplitBundle) -> TruncPoly:
     """Total Segre class, the inverse of the total Chern class."""
     return series_inverse(chern_total(E))
@@ -290,12 +282,6 @@ def tangent_chern(space: SpaceDescriptor) -> TruncPoly:
 def segre_scheme(space: SpaceDescriptor) -> TruncPoly:
     """Total Segre class of the space (inverse total tangent Chern class)."""
     return series_inverse(tangent_chern(space))
-
-
-def segre_scheme_class(space: SpaceDescriptor, k: int) -> TruncPoly:
-    if k < 0:
-        return TruncPoly.zero(ring_of(space))
-    return segre_scheme(space).graded_part(k)
 
 
 def twist(E: SplitBundle, Lc1: TruncPoly) -> SplitBundle:

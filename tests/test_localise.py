@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from quotdeg.errors import DomainError
-from quotdeg.exactpoly import binomial
+from quotdeg import localise
+from quotdeg.errors import CrossCheckError, DomainError
+from quotdeg.exactpoly import binomial, compositions
 from quotdeg.localise import (
     FixedPointDatum,
     NonGenericWeightsError,
@@ -112,6 +114,9 @@ def test_seed_independence():
 def test_domain_guards():
     with pytest.raises(DomainError):
         plucker_degree_localised(2, (0,), 1, 1)
+    for l in (0, 1):
+        with pytest.raises(DomainError):
+            plucker_degree_localised(0, (), l, 0)
     with pytest.raises(DomainError):
         enumerate_fixed_points(0, 1)
     with pytest.raises(DomainError):
@@ -152,3 +157,82 @@ def test_three_points_on_line_is_cube():
 
 def test_four_points_on_line_is_fourth_power():
     assert list(degree_polynomial_localised(1, (0,), 4)) == [81, -108, 54, -12, 1]
+
+
+def _recipe_sum(a, l, n, wt):
+    """The fixed-point sum point by point, straight from the public recipe."""
+    r = len(a)
+    total = Fraction(0)
+    for pt in enumerate_fixed_points(r, l):
+        denominator = 1
+        for x in tangent_weights(pt, a, wt):
+            denominator *= x
+        total += Fraction(taut_weight_sum(pt, a, n, wt) ** (l * r), denominator)
+    return total
+
+
+def _assert_kernel_matches_recipe(a, l, n, wt):
+    try:
+        expected = _recipe_sum(a, l, n, wt)
+    except NonGenericWeightsError:
+        with pytest.raises(NonGenericWeightsError):
+            localise._fixed_point_sum(a, l, n, wt)
+        return False
+    assert localise._fixed_point_sum(a, l, n, wt) == expected
+    return True
+
+
+def test_kernel_matches_pointwise_recipe():
+    rng = random.Random(20261018)
+    outcomes = []
+    for r in (1, 2, 3):
+        for l in range(5):
+            # small weights make many draws degenerate; large ones are the real draws
+            for bound in (4,) * 12 + (10**6,) * 2:
+                a = tuple(rng.randint(-2, 2) for _ in range(r))
+                n = rng.randint(0, 4)
+                e = tuple(rng.randint(-bound, bound) for _ in range(r))
+                w = rng.choice((-1, 1)) * rng.randint(1, min(bound, 10**3) - 1)
+                outcomes.append((w < 0, _assert_kernel_matches_recipe(a, l, n, WeightAssignment(e, w))))
+    assert {(True, True), (False, True), (True, False), (False, False)} <= set(outcomes)
+
+
+def test_kernel_rejects_a_draw_degenerate_only_at_infinity():
+    a, l, n = (2, -2), 2, 1
+    wt = WeightAssignment((0, 4), 1)
+    zeros = (0, 0)
+    for k in range(l + 1):
+        for b in compositions(k, 2):
+            tangent_weights(FixedPointDatum(b, zeros), a, wt)  # the side at 0 is generic
+    with pytest.raises(NonGenericWeightsError):
+        tangent_weights(FixedPointDatum(zeros, (1, 0)), a, wt)
+    assert not _assert_kernel_matches_recipe(a, l, n, wt)
+
+
+def test_degenerate_first_attempts_are_redrawn(monkeypatch):
+    expected = plucker_degree_localised(2, (1, 0), 3, 2)
+    real_draw = localise._draw
+    attempts = []
+
+    def draw(seed, index, r):
+        attempts.append(index)
+        if index % 7919 == 0:
+            return WeightAssignment((0,) * r, 1)
+        return real_draw(seed, index, r)
+
+    monkeypatch.setattr(localise, "_draw", draw)
+    assert plucker_degree_localised(2, (1, 0), 3, 2) == expected
+    assert attempts == [0, 1, 7919, 7920, 2 * 7919, 2 * 7919 + 1]
+
+
+def test_exhausted_redraws_raise(monkeypatch):
+    attempts = []
+
+    def draw(seed, index, r):
+        attempts.append(index)
+        return WeightAssignment((0,) * r, 1)
+
+    monkeypatch.setattr(localise, "_draw", draw)
+    with pytest.raises(CrossCheckError):
+        plucker_degree_localised(2, (1, 0), 3, 2)
+    assert attempts == list(range(200))
