@@ -12,8 +12,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import jsonschema
+from jsonschema.exceptions import best_match
 
 from .errors import CrossCheckError, DomainError, RingMismatchError
 from .exactpoly import DegreePolynomial, TruncPoly
@@ -40,7 +42,6 @@ from .varieties import (
     ProjProduct,
     SplitBundle,
     divisor_from_vector,
-    ring_of,
 )
 
 BASE_SCHEMA = {
@@ -90,6 +91,21 @@ SPACE_SCHEMA = {
 }
 
 
+# One validator per schema, built once.  The schemas are constants, so their
+# check against the metaschema is a test, not a cost paid on every command.
+_BASE_VALIDATOR = jsonschema.Draft202012Validator(BASE_SCHEMA)
+_INSTANCE_VALIDATOR = jsonschema.Draft202012Validator(INSTANCE_SCHEMA)
+_SPACE_VALIDATOR = jsonschema.Draft202012Validator(SPACE_SCHEMA)
+
+
+def _validate(validator, data) -> None:
+    """Raise the error ``jsonschema.validate`` would raise for the validator's
+    schema: the best match among all errors, not the first one found."""
+    error = best_match(validator.iter_errors(data))
+    if error is not None:
+        raise error
+
+
 def _load_json(text_or_path: str):
     if text_or_path.strip().startswith("{"):
         return json.loads(text_or_path)
@@ -102,20 +118,16 @@ def _parse_base(obj) -> ProjProduct:
 
 
 def _parse_bundle(space: ProjProduct, obj) -> SplitBundle:
-    ring = ring_of(space)
     roots = []
     for vec in obj["roots"]:
         if len(vec) != len(space.dims):
             raise DomainError("each root needs one coefficient per factor")
-        root = TruncPoly.zero(ring)
-        for i, c in enumerate(vec):
-            root = root + c * TruncPoly.generator(ring, i)
-        roots.append(root)
+        roots.append(divisor_from_vector(space, vec))
     return SplitBundle(tuple(roots))
 
 
 def _parse_instance(data) -> tuple[ProjProduct, SplitBundle, TruncPoly]:
-    jsonschema.validate(data, INSTANCE_SCHEMA)
+    _validate(_INSTANCE_VALIDATOR, data)
     S = _parse_base(data["base"])
     if "bundle" not in data:
         raise DomainError("instance needs a bundle")
@@ -129,7 +141,7 @@ def _parse_instance(data) -> tuple[ProjProduct, SplitBundle, TruncPoly]:
 
 def _parse_space(text: str):
     data = _load_json(text)
-    jsonschema.validate(data, SPACE_SCHEMA)
+    _validate(_SPACE_VALIDATOR, data)
     if "base" in data:
         S = _parse_base(data["base"])
         return ProjBundle(S, _parse_bundle(S, data["bundle"]))
@@ -195,7 +207,7 @@ def _cmd_hilb2(args) -> int:
 
 def _cmd_nu(args) -> int:
     data = _load_json(args.space)
-    jsonschema.validate(data, BASE_SCHEMA)
+    _validate(_BASE_VALIDATOR, data)
     space = _parse_base(data)
     E = _parse_bundle(space, {"roots": _vector_list(args.roots)})
     rep = nu_class(space, E, args.l, args.k)
@@ -385,9 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call of this process shares."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (

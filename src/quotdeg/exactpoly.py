@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, RingMismatchError
@@ -633,10 +633,17 @@ def binomial(x, k: int) -> Fraction:
     """Generalized binomial coefficient x(x-1)...(x-k+1)/k!; zero for k < 0.
 
     The upper argument may be any integer or rational, so index ranges that
-    run negative simply vanish instead of needing special cases.
+    run negative simply vanish instead of needing special cases.  Integral
+    upper arguments go through `math.comb`, negative ones by upper negation
+    binom(x, k) = (-1)^k binom(k - x - 1, k).
     """
     if k < 0:
         return Fraction(0)
+    if isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1):
+        x = int(x)
+        if x >= 0:
+            return Fraction(comb(x, k))
+        return Fraction((-1) ** k * comb(k - x - 1, k))
     num = Fraction(1)
     for i in range(k):
         num *= x - i

@@ -86,32 +86,42 @@ def pair_power_pushforward(req_or_space, divisor=None, power=None) -> TruncPoly:
         req = req_or_space
     else:
         req = PairPushforwardRequest(req_or_space, divisor, power)
-    return pair_power_pushforward_table(req.space, req.divisor, req.power)[req.power]
+    box_powers, exc = _pushforward_parts(req)
+    return _power_sum(box_powers, exc, req.power)
 
 
 def pair_power_pushforward_table(
     space: SpaceDescriptor, divisor: TruncPoly, max_power: int
 ) -> list[TruncPoly]:
     """All pair pushforwards for powers 0..max_power, sharing the power table."""
-    PairPushforwardRequest(space, divisor, max_power)
-    square = power_ring(space, 2)
-    box = boxsum(space, 2, divisor)
-    box_powers = [TruncPoly.one(square)]
-    for _ in range(max_power):
+    box_powers, exc = _pushforward_parts(PairPushforwardRequest(space, divisor, max_power))
+    return [_power_sum(box_powers, exc, n) for n in range(max_power + 1)]
+
+
+def _pushforward_parts(
+    req: PairPushforwardRequest,
+) -> tuple[list[TruncPoly], dict[int, TruncPoly]]:
+    """The powers (M boxplus M)^i for i <= req.power, and the nonzero
+    blow-up pushforwards of the exceptional powers m <= req.power."""
+    box = boxsum(req.space, 2, req.divisor)
+    box_powers = [TruncPoly.one(power_ring(req.space, 2))]
+    for _ in range(req.power):
         box_powers.append(box_powers[-1] * box)
-    dim = space.dimension
-    exc = {0: blowup_power_pushforward(space, 0)}
-    for m in range(dim, max_power + 1):
-        exc[m] = blowup_power_pushforward(space, m)
-    table = []
-    for n in range(max_power + 1):
-        total = TruncPoly.zero(square)
-        for m, e in exc.items():
-            if m > n or e.is_zero():
-                continue
+    exc = {0: blowup_power_pushforward(req.space, 0)}
+    for m in range(req.space.dimension, req.power + 1):
+        e = blowup_power_pushforward(req.space, m)
+        if not e.is_zero():
+            exc[m] = e
+    return box_powers, exc
+
+
+def _power_sum(box_powers: list[TruncPoly], exc: dict[int, TruncPoly], n: int) -> TruncPoly:
+    """The pair pushforward in power n from the parts of `_pushforward_parts`."""
+    total = TruncPoly.zero(box_powers[0].ring)
+    for m, e in exc.items():
+        if m <= n:
             total = total + binomial(n, m) * box_powers[n - m] * e
-        table.append(total)
-    return table
+    return total
 
 
 def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:

@@ -217,3 +217,80 @@ def test_leading_l_from_file(capsys, tmp_path):
     code, out = run(capsys, ["leading", "--input", str(path), "--n", "1"])
     assert code == 0
     assert json.loads(out) == {"l": 2, "value": "12"}
+
+
+_BASE = {"type": "projective_product", "dims": [1]}
+_BUNDLE = {"roots": [[0], [1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, data, schema_name",
+    [
+        # minimum
+        (["degree2", "--n", "1", "--input"],
+         {"base": {"type": "projective_product", "dims": [0]}, "bundle": _BUNDLE}, "INSTANCE_SCHEMA"),
+        (["mu2", "--k", "0", "--input"], {"base": _BASE, "bundle": _BUNDLE, "l": 0}, "INSTANCE_SCHEMA"),
+        # required
+        (["degree2", "--n", "1", "--input"], {"base": {"type": "projective_product"}}, "INSTANCE_SCHEMA"),
+        (["delta2", "--input"], {"base": _BASE, "bundle": {}}, "INSTANCE_SCHEMA"),
+        # additionalProperties
+        (["degree2", "--n", "1", "--input"], {"base": _BASE, "bundle": _BUNDLE, "extra": 1}, "INSTANCE_SCHEMA"),
+        # an item type
+        (["degree2", "--n", "1", "--input"], {"base": _BASE, "bundle": {"roots": [["0"], [1]]}}, "INSTANCE_SCHEMA"),
+        (["leading", "--l", "2", "--input"], {"base": _BASE, "bundle": _BUNDLE, "twist": [1.5]}, "INSTANCE_SCHEMA"),
+        # several errors at once: the best match, not the first found
+        (["degree2", "--n", "1", "--input"],
+         {"base": {"type": "projective_product", "dims": [0]}, "bundle": {"roots": [[0.5]]}, "extra": 1},
+         "INSTANCE_SCHEMA"),
+        # the oneOf of the space schema, with errors under both branches
+        (["hilb2", "--divisor", "1", "--space"], {"type": "projective_product", "dims": [1], "x": 0}, "SPACE_SCHEMA"),
+        (["hilb2", "--divisor", "1", "--space"], {"base": _BASE, "bundle": {"roots": []}}, "SPACE_SCHEMA"),
+        # the base schema
+        (["nu", "--roots", "0;1", "--l", "2", "--k", "0", "--space"],
+         {"type": "projective_line", "dims": [1]}, "BASE_SCHEMA"),
+        (["nu", "--roots", "0;1", "--l", "2", "--k", "0", "--space"],
+         {"type": "projective_product", "dims": []}, "BASE_SCHEMA"),
+    ],
+)
+def test_invalid_input_error_matches_jsonschema_validate(capsys, argv, data, schema_name):
+    import jsonschema
+
+    from quotdeg import cli
+
+    with pytest.raises(jsonschema.ValidationError) as raised:
+        jsonschema.validate(data, getattr(cli, schema_name))
+    code, out = run(capsys, argv + [json.dumps(data)])
+    assert code == 2
+    assert out == json.dumps({"error": str(raised.value)}) + "\n"
+
+
+def test_schemas_are_valid_for_their_validators():
+    from jsonschema.validators import validator_for
+
+    from quotdeg import cli
+
+    pairs = [
+        (cli._BASE_VALIDATOR, cli.BASE_SCHEMA),
+        (cli._INSTANCE_VALIDATOR, cli.INSTANCE_SCHEMA),
+        (cli._SPACE_VALIDATOR, cli.SPACE_SCHEMA),
+    ]
+    for validator, schema in pairs:
+        assert validator.schema is schema
+        assert type(validator) is validator_for(schema)
+        type(validator).check_schema(schema)
+
+
+def test_shared_parser_leaks_no_state(capsys, p1_rank2):
+    from quotdeg import cli
+
+    first = ["degree2", "--input", p1_rank2, "--polynomial"]
+    second = ["degree2", "--input", p1_rank2, "--n", "2"]
+    fresh = []
+    for argv in (first, second):
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    parser = cli._parser()
+    shared = [run(capsys, first), run(capsys, second)]
+    assert cli._parser() is parser
+    assert shared == fresh
+    assert json.loads(fresh[1][1]) == {"degree": "22", "pipelines_agree": True}

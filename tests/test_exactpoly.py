@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -123,6 +124,15 @@ def test_binomial_values():
     assert binomial(3, -1) == 0
     assert binomial(-2, 2) == 3
     assert binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
+    for x in range(-10, 11):
+        for k in range(-1, 9):
+            product = Fraction(1)
+            for i in range(k):
+                product *= x - i
+            want = product / factorial(k) if k >= 0 else Fraction(0)
+            for upper in (x, Fraction(x)):
+                got = binomial(upper, k)
+                assert type(got) is Fraction and got == want, (upper, k)
 
 
 def test_multinomial():
