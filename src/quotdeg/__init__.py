@@ -20,12 +20,7 @@ from .exactpoly import (
     series_inverse,
 )
 from .grassmann import GrassmannInstance, catalan_degree, schubert_degree, syt_count
-from .hilb2 import (
-    PairPushforwardRequest,
-    blowup_power_pushforward,
-    hilb2_degree,
-    pair_power_pushforward,
-)
+from .hilb2 import blowup_power_pushforward, hilb2_degree, pair_power_pushforward
 from .jacobi import JacobiParams, a_coeff, jacobi_finite_sum, jacobi_hyp
 from .localise import (
     FixedPointDatum,

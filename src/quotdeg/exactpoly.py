@@ -30,6 +30,26 @@ by total degree, with `int` numerators over one common denominator:
   `RingDescriptor.max_degree`.  A product of a degree-i bucket with a
   degree-j bucket therefore vanishes once i + j exceeds it, and is never
   formed.
+* Top-degree pairing.  On every ring here the integral of a class is the
+  coefficient of the one normal-form monomial of degree `max_degree` (all
+  exponents t_i - 1), and `top_pairing(a, b)` reads that coefficient of
+  a * b without forming the product.  Each ring keeps a pre-top table
+  (`RingDescriptor._pre_top`): every packed monomial p of degree
+  `max_degree` that is a sum of two normal forms and whose normal form has
+  a nonzero top coefficient, mapped to that coefficient, computed with
+  `_reduce_terms` itself.  Rewriting one related generator never raises
+  another, so a related exponent below r - 1 stays below it and leaves the
+  top coefficient 0: every related exponent of an entry lies in
+  r - 1..2(r - 1).  The table is enumerated by that excess over r - 1,
+  taken off the plain exponents as a deficit, never over the full box.  A
+  product of projective spaces has the table {top: 1}.  The pairing then
+  visits only the bucket pairs (k, max_degree - k); for each monomial m of
+  the smaller bucket and each entry p, it looks up p - m in the other
+  bucket.  That one subtraction is exact: each field difference is at most
+  2(t_i - 1) < 2^{w_i} in size, and fields sit w_i + 1 bits apart, so
+  distinct signed field vectors pack to distinct ints, and p - m equals a
+  normal-form key only when no field of m exceeds p's.  The result is one
+  `Fraction` over the product of the two denominators.
 * Coefficients.  Numerators are ints over one positive denominator, and the
   pair (denominator, numerators) is kept reduced, so two equal polynomials
   have identical storage.  Relation coefficients are integers (Chern classes
@@ -49,6 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import comb, factorial, gcd, lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -62,6 +83,7 @@ __all__ = [
     "RingDescriptor",
     "TruncPoly",
     "series_inverse",
+    "top_pairing",
     "permute_blocks",
     "map_blocks",
     "binomial",
@@ -198,6 +220,29 @@ class RingDescriptor:
                 _reduce_terms(layout, [bucket])
                 table.append(tuple((m, c) for m, c in bucket.items() if c))
         return layout
+
+    @cached_property
+    def _pre_top(self) -> dict[int, int]:
+        """Packed monomial -> top coefficient of its normal form, for every
+        degree-`max_degree` sum of two normal forms where that is nonzero."""
+        layout = self._layout
+        plain = [i for i in range(self.ngens) if i not in self._relation_map]
+        related = [r.gen for r in self.relations]
+        top = layout.pack(tuple(t - 1 for t in self.truncations))
+        table = {}
+        # each related exponent runs over r - 1..2(r - 1) (module docstring),
+        # and its excess over r - 1 is a deficit on the plain exponents
+        for excess in product(*(range(self.truncations[g]) for g in related)):
+            raised = top + sum(e << layout.shifts[g] for e, g in zip(excess, related))
+            for deficit in compositions(sum(excess), len(plain)):
+                if any(e >= self.truncations[g] for e, g in zip(deficit, plain)):
+                    continue
+                mono = raised - sum(e << layout.shifts[g] for e, g in zip(deficit, plain))
+                bucket = {mono: 1}
+                _reduce_terms(layout, [bucket])
+                if bucket.get(top):
+                    table[mono] = bucket[top]
+        return table
 
     def monomial_str(self, mono: Monomial) -> str:
         parts = [f"{n}^{e}" for n, e in zip(self.names, mono) if e]
@@ -573,6 +618,34 @@ class TruncPoly:
             coeff = Fraction(str(coeff_s).replace("−", "-"))
             items.append((ring.monomial_from_str(mono_s), coeff))
         return cls(ring, items)
+
+
+def top_pairing(a: TruncPoly, b: TruncPoly) -> Fraction:
+    """Top-degree coefficient of the normal form of a * b, without forming
+    the product: each pre-top monomial p pairs a monomial m of one factor
+    with p - m of the other, in complementary degree buckets."""
+    a._check_ring(b)
+    ring = a.ring
+    top = ring.max_degree
+    A, B = a._buckets, b._buckets
+    total = 0
+    for k in range(max(0, top + 1 - len(B)), min(len(A), top + 1)):
+        outer, inner = A[k], B[top - k]
+        if not outer or not inner:
+            continue
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        get = inner.get
+        for p, c in ring._pre_top.items():
+            pair_sum = 0
+            for m, c1 in outer.items():
+                # p - m is a normal-form key exactly when no field of m
+                # exceeds p's (module docstring), so a miss needs no test
+                c2 = get(p - m)
+                if c2:
+                    pair_sum += c1 * c2
+            total += c * pair_sum
+    return Fraction(total, a._den * b._den)
 
 
 def series_inverse(a: TruncPoly) -> TruncPoly:

@@ -10,7 +10,6 @@ classes of X and cross-checks it against the blow-up route on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,14 +20,13 @@ from .varieties import (
     boxsum,
     diagonal_pushforward,
     integrate,
-    integrate_power,
+    integrate_product,
     power_ring,
     ring_of,
     segre_scheme,
 )
 
 __all__ = [
-    "PairPushforwardRequest",
     "blowup_power_pushforward",
     "pair_power_pushforward",
     "pair_power_pushforward_table",
@@ -40,23 +38,15 @@ __all__ = [
 _POWER_SLACK = 64
 
 
-@dataclass(frozen=True)
-class PairPushforwardRequest:
-    """A power of a tautological divisor class to push down to X x X."""
-
-    space: SpaceDescriptor
-    divisor: TruncPoly
-    power: int
-
-    def __post_init__(self):
-        if self.divisor.ring != ring_of(self.space):
-            raise DomainError("divisor must live on the space")
-        if not self.divisor.is_zero() and (
-            not self.divisor.is_homogeneous() or self.divisor.total_degree() != 1
-        ):
-            raise DomainError("divisor must be homogeneous of degree 1")
-        if not 0 <= self.power <= 2 * self.space.dimension + _POWER_SLACK:
-            raise DomainError("power out of supported range")
+def _check_request(space: SpaceDescriptor, divisor: TruncPoly, power: int) -> None:
+    """Reject a divisor off the space, one not homogeneous of degree 1, or
+    a power out of range."""
+    if divisor.ring != ring_of(space):
+        raise DomainError("divisor must live on the space")
+    if not divisor.is_zero() and (not divisor.is_homogeneous() or divisor.total_degree() != 1):
+        raise DomainError("divisor must be homogeneous of degree 1")
+    if not 0 <= power <= 2 * space.dimension + _POWER_SLACK:
+        raise DomainError("power out of supported range")
 
 
 @lru_cache(maxsize=None)
@@ -75,48 +65,48 @@ def blowup_power_pushforward(space: SpaceDescriptor, m: int) -> TruncPoly:
     return -diagonal_pushforward(space, s)
 
 
-def pair_power_pushforward(req_or_space, divisor=None, power=None) -> TruncPoly:
+def pair_power_pushforward(space: SpaceDescriptor, divisor: TruncPoly, power: int) -> TruncPoly:
     """Push c_1(pulled-back tautological sheaf)^N from the blow-up to X x X.
 
     Expanding the divisor as (M boxplus M) + exceptional class gives
     sum_m binom(N, m) (M boxplus M)^{N-m} * blowup_power_pushforward(m).
-    Accepts either a PairPushforwardRequest or (space, divisor, power).
     """
-    if isinstance(req_or_space, PairPushforwardRequest):
-        req = req_or_space
-    else:
-        req = PairPushforwardRequest(req_or_space, divisor, power)
-    box_powers, exc = _pushforward_parts(req)
-    return _power_sum(box_powers, exc, req.power)
+    _check_request(space, divisor, power)
+    return _power_sum(_box_powers(space, divisor, power), _exceptional(space, power), power)
 
 
 def pair_power_pushforward_table(
     space: SpaceDescriptor, divisor: TruncPoly, max_power: int
 ) -> list[TruncPoly]:
     """All pair pushforwards for powers 0..max_power, sharing the power table."""
-    box_powers, exc = _pushforward_parts(PairPushforwardRequest(space, divisor, max_power))
+    _check_request(space, divisor, max_power)
+    box_powers = _box_powers(space, divisor, max_power)
+    exc = _exceptional(space, max_power)
     return [_power_sum(box_powers, exc, n) for n in range(max_power + 1)]
 
 
-def _pushforward_parts(
-    req: PairPushforwardRequest,
-) -> tuple[list[TruncPoly], dict[int, TruncPoly]]:
-    """The powers (M boxplus M)^i for i <= req.power, and the nonzero
-    blow-up pushforwards of the exceptional powers m <= req.power."""
-    box = boxsum(req.space, 2, req.divisor)
-    box_powers = [TruncPoly.one(power_ring(req.space, 2))]
-    for _ in range(req.power):
+def _box_powers(space: SpaceDescriptor, divisor: TruncPoly, top: int) -> list[TruncPoly]:
+    """The powers (M boxplus M)^i for i = 0..top."""
+    box = boxsum(space, 2, divisor)
+    box_powers = [TruncPoly.one(power_ring(space, 2))]
+    for _ in range(top):
         box_powers.append(box_powers[-1] * box)
-    exc = {0: blowup_power_pushforward(req.space, 0)}
-    for m in range(req.space.dimension, req.power + 1):
-        e = blowup_power_pushforward(req.space, m)
+    return box_powers
+
+
+def _exceptional(space: SpaceDescriptor, top: int) -> dict[int, TruncPoly]:
+    """The nonzero blow-up pushforwards of the exceptional powers m <= top."""
+    exc = {0: blowup_power_pushforward(space, 0)}
+    for m in range(space.dimension, top + 1):
+        e = blowup_power_pushforward(space, m)
         if not e.is_zero():
             exc[m] = e
-    return box_powers, exc
+    return exc
 
 
 def _power_sum(box_powers: list[TruncPoly], exc: dict[int, TruncPoly], n: int) -> TruncPoly:
-    """The pair pushforward in power n from the parts of `_pushforward_parts`."""
+    """The pair pushforward in power n from the box powers and the
+    exceptional pushforwards."""
     total = TruncPoly.zero(box_powers[0].ring)
     for m, e in exc.items():
         if m <= n:
@@ -132,14 +122,20 @@ def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
     (a) the closed form
         (1/2) binom(2d, d) (int M^d)^2
         - 2^{d-1} sum_m binom(2d, d+m) 2^{-m} int M^{d-m} s_m(X),
-    (b) half the X x X integral of the pair pushforward in power 2d.
+    (b) half the X x X integral of the pair pushforward in power 2d,
+        (1/2) sum_m binom(2d, m) int (M boxplus M)^{2d-m} * (blow-up
+        pushforward of the m-th exceptional power), each term integrated
+        as a product without forming it.  The exceptional pushforwards
+        vanish for 0 < m < d, so the box powers are needed only up to d.
     """
     d = space.dimension
     if d < 1:
         raise DomainError("the space must be positive-dimensional")
-    if divisor.ring != ring_of(space):
-        raise DomainError("divisor must live on the space")
-    md = integrate(space, divisor**d)
+    _check_request(space, divisor, 2 * d)
+    powers = [TruncPoly.one(divisor.ring)]
+    for _ in range(d):
+        powers.append(powers[-1] * divisor)
+    md = integrate(space, powers[d])
     closed = Fraction(1, 2) * binomial(2 * d, d) * md**2
     segre = segre_scheme(space)
     correction = Fraction(0)
@@ -147,11 +143,15 @@ def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
         correction += (
             binomial(2 * d, d + m)
             * Fraction(1, 2**m)
-            * integrate(space, divisor ** (d - m) * segre.graded_part(m))
+            * integrate_product(space, 1, powers[d - m], segre.graded_part(m))
         )
     closed -= Fraction(2) ** (d - 1) * correction
-    pushed = pair_power_pushforward(space, divisor, 2 * d)
-    blowup_route = Fraction(1, 2) * integrate_power(space, 2, pushed)
+    box_powers = _box_powers(space, divisor, d)
+    blowup = integrate_product(space, 2, box_powers[d], box_powers[d])
+    for m, e in _exceptional(space, 2 * d).items():
+        if m:
+            blowup += binomial(2 * d, m) * integrate_product(space, 2, box_powers[2 * d - m], e)
+    blowup_route = Fraction(1, 2) * blowup
     if closed != blowup_route:
         raise CrossCheckError(
             f"hilb2 degree routes disagree: closed form {closed}, blow-up route {blowup_route}"

@@ -35,14 +35,18 @@ and s its share of the fibre-character sum:
   s0(b)   = sum_j b_j e_j + w b_j (b_j - 1)/2
   sinf(c) = sum_j c_j e_j + w (c_j (a_j + n) - c_j (c_j - 1)/2).
 
-A point (b, c) contributes the integer pair ((s0 + sinf)^{lr}, D0 Dinf);
-the pairs are summed pairwise, in a balanced order that holds only
-O(log #points) partial sums, over common denominators (one gcd of the two
-denominators per merge) and reduced to a Fraction once per draw.  A zero
-entry in either table is a zero tangent weight at some fixed point, since
-every b and c of length at most l occurs in one, so it rejects exactly the
-draws the pointwise recipe rejects; the redraws, the consensus of the
-draws and the integrality check are unchanged.
+Only sinf depends on n, and linearly: it grows by n w k for c of length k.
+So the tables hold sinf at n = 0, and `degree_polynomial_localised` builds
+them once per draw and evaluates every n, the verification point included,
+from them.  A point (b, c) contributes the integer pair
+((s0 + sinf)^{lr}, D0 Dinf); the pairs are summed pairwise, in a balanced
+order that holds only O(log #points) partial sums, over common
+denominators (one gcd of the two denominators per merge) and reduced to a
+Fraction once per draw and twist.  A zero entry in either table is a zero
+tangent weight at some fixed point, since every b and c of length at most
+l occurs in one, so it rejects exactly the draws the pointwise recipe
+rejects; the redraws, the consensus of the draws and the integrality check
+are unchanged.
 """
 
 from __future__ import annotations
@@ -153,11 +157,12 @@ def _draw(seed: int, index: int, r: int) -> WeightAssignment:
 
 
 def _side_tables(
-    a: Sequence[int], l: int, n: int, wt: WeightAssignment
+    a: Sequence[int], l: int, wt: WeightAssignment
 ) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
-    """(D0, s0) and (Dinf, sinf) for every composition of every k <= l,
-    indexed by k; raises if a tangent weight vanishes.  Each composition is
-    read once as b (at 0) and once as c (at infinity)."""
+    """(D0, s0) and (Dinf, sinf at n = 0) for every composition of every
+    k <= l, indexed by k; raises if a tangent weight vanishes.  Each
+    composition is read once as b (at 0) and once as c (at infinity).  No
+    entry depends on n except sinf, which grows by n w k in row k."""
     e, w = wt.e, wt.w
     zero, infinity = [], []
     for k in range(l + 1):
@@ -167,7 +172,7 @@ def _side_tables(
             s0 = sinf = 0
             for j, bj in enumerate(b):
                 s0 += bj * e[j] + w * (bj * (bj - 1) // 2)
-                sinf += bj * e[j] + w * (bj * (a[j] + n) - bj * (bj - 1) // 2)
+                sinf += bj * e[j] + w * (bj * a[j] - bj * (bj - 1) // 2)
                 if bj:
                     for i, bi in enumerate(b):
                         at_zero = e[j] - e[i] - bi * w
@@ -191,20 +196,64 @@ def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return p * (q2 // g) + p2 * (q // g), q // g * q2
 
 
-def _fixed_point_sum(a: Sequence[int], l: int, n: int, wt: WeightAssignment) -> Fraction:
-    zero, infinity = _side_tables(a, l, n, wt)
-    exponent = l * len(a)
+def _table_sum(tables, r: int, l: int, n: int, w: int) -> Fraction:
+    """The fixed-point sum at twist n from the side tables of one draw."""
+    zero, infinity = tables
+    exponent = l * r
     # pairwise summation: each stack entry sums `size` consecutive points,
     # and two entries of one size merge, so operands stay balanced
     stack = []
     for k in range(l + 1):
+        shift = n * w * (l - k)
         for d0, s0 in zero[k]:
             for dinf, sinf in infinity[l - k]:
-                term, size = ((s0 + sinf) ** exponent, d0 * dinf), 1
+                term, size = ((s0 + sinf + shift) ** exponent, d0 * dinf), 1
                 while stack and stack[-1][1] == size:
                     term, size = _add(stack.pop()[0], term), 2 * size
                 stack.append((term, size))
     return Fraction(*reduce(_add, (term for term, _ in reversed(stack))))
+
+
+def _fixed_point_sum(a: Sequence[int], l: int, n: int, wt: WeightAssignment) -> Fraction:
+    return _table_sum(_side_tables(a, l, wt), len(a), l, n, wt.w)
+
+
+def _localised_values(
+    r: int, a: Sequence[int], l: int, ns: Sequence[int], seed: int, draws: int
+) -> list[Fraction]:
+    """The localised degree at each twist in `ns`.  Each draw builds its side
+    tables once and evaluates every n from them; a draw is redrawn when a
+    tangent weight vanishes, which does not depend on n.  For each n the
+    draws must agree exactly and give an integer."""
+    if len(a) != r:
+        raise DomainError("need one summand degree per summand")
+    if l < 0:
+        raise DomainError("length must be nonnegative")
+    if draws < 1:
+        raise DomainError("need at least one draw")
+    if r < 1:
+        raise DomainError("need r >= 1 and l >= 0")
+    per_draw = []
+    for index in range(draws):
+        for attempt in range(200):
+            wt = _draw(seed, 7919 * index + attempt, r)
+            try:
+                tables = _side_tables(a, l, wt)
+                break
+            except NonGenericWeightsError:
+                continue
+        else:
+            raise CrossCheckError("could not find generic weights")
+        per_draw.append([_table_sum(tables, r, l, n, wt.w) for n in ns])
+    out = []
+    for values in zip(*per_draw):
+        values = list(values)
+        if any(v != values[0] for v in values[1:]):
+            raise CrossCheckError(f"weight draws disagree: {values}")
+        if values[0].denominator != 1:
+            raise CrossCheckError(f"localised degree is not an integer: {values[0]}")
+        out.append(values[0])
+    return out
 
 
 def plucker_degree_localised(
@@ -218,30 +267,7 @@ def plucker_degree_localised(
     integers, otherwise the weight recipe itself is at fault and the run
     aborts.
     """
-    if len(a) != r:
-        raise DomainError("need one summand degree per summand")
-    if l < 0:
-        raise DomainError("length must be nonnegative")
-    if draws < 1:
-        raise DomainError("need at least one draw")
-    if r < 1:
-        raise DomainError("need r >= 1 and l >= 0")
-    values = []
-    for index in range(draws):
-        for attempt in range(200):
-            wt = _draw(seed, 7919 * index + attempt, r)
-            try:
-                values.append(_fixed_point_sum(a, l, n, wt))
-                break
-            except NonGenericWeightsError:
-                continue
-        else:
-            raise CrossCheckError("could not find generic weights")
-    if any(v != values[0] for v in values[1:]):
-        raise CrossCheckError(f"weight draws disagree: {values}")
-    if values[0].denominator != 1:
-        raise CrossCheckError(f"localised degree is not an integer: {values[0]}")
-    return values[0]
+    return _localised_values(r, a, l, [n], seed, draws)[0]
 
 
 def degree_polynomial_localised(
@@ -251,7 +277,7 @@ def degree_polynomial_localised(
 
     Interpolated at n = 0..l (the degree is at most l on the line) and
     verified at n = l + 1."""
-    values = [(n, plucker_degree_localised(r, a, l, n, seed=seed)) for n in range(l + 2)]
+    values = list(enumerate(_localised_values(r, a, l, range(l + 2), seed, 3)))
     poly = poly_interpolate(values[: l + 1])
     if poly.evaluate(l + 1) != values[l + 1][1]:
         raise CrossCheckError("localised degree polynomial fails at the verification point")

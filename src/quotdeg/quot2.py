@@ -36,6 +36,7 @@ from .varieties import (
     bundle_power_pushforward,
     diagonal_class,
     integrate,
+    integrate_product,
     pullback_to_bundle,
     ring_of,
     segre_class,
@@ -110,7 +111,7 @@ def degree2_formula(inst: Quot2Instance) -> Fraction:
             J = J + (
                 a_coeff(r, d, k, j) * segre_EL.graded_part(d - k - j) * segre_EL.graded_part(j)
             )
-        correction += integrate(S, segre_S.graded_part(k) * J)
+        correction += integrate_product(S, 1, segre_S.graded_part(k), J)
     return total - Fraction(2) ** (p - 1) * correction
 
 
@@ -120,22 +121,23 @@ def _fibre_integrals_closed(inst: Quot2Instance) -> list[Fraction]:
     EL = twist(inst.E, inst.Lc1)
     segre_EL = segre_total(EL)
     segre_S = segre_scheme(S)
+    # s_{d-k-j}(EL) s_j(EL) does not depend on m, so form each once
+    pairs = [
+        [segre_EL.graded_part(d - k - j) * segre_EL.graded_part(j) for j in range(d - k + 1)]
+        for k in range(d + 1)
+    ]
     out = []
     for m in range(p + 1):
         value = Fraction(0)
         for k in range(d + 1):
             inner = TruncPoly.zero(ring_of(S))
-            for j in range(d - k + 1):
-                inner = (
-                    inner
-                    + Fraction(-1) ** j
-                    * binomial(r - 1 + m - k, m - d + j)
-                    * segre_EL.graded_part(d - k - j)
-                    * segre_EL.graded_part(j)
-                )
+            for j, pair in enumerate(pairs[k]):
+                inner = inner + Fraction(-1) ** j * binomial(r - 1 + m - k, m - d + j) * pair
             if k > m and not inner.is_zero():
                 raise CrossCheckError("inner Segre sum failed to vanish above the fibre power")
-            value += Fraction(-1) ** (m + k) * integrate(S, segre_S.graded_part(k) * inner)
+            value += Fraction(-1) ** (m + k) * integrate_product(
+                S, 1, segre_S.graded_part(k), inner
+            )
         out.append(value)
     return out
 
@@ -153,7 +155,7 @@ def degree2_projbundle(inst: Quot2Instance) -> Fraction:
     z = zeta(X)
     segre_X = segre_scheme(X)
     for m in range(p + 1):
-        direct = integrate(X, z ** (p - m) * segre_X.graded_part(m))
+        direct = integrate_product(X, 1, z ** (p - m), segre_X.graded_part(m))
         if direct != closed[m]:
             raise CrossCheckError(
                 f"fibre integral I_{m} mismatch: closed {closed[m]}, direct {direct}"

@@ -46,6 +46,7 @@ from .varieties import (
     hyperplane,
     integrate,
     integrate_power,
+    integrate_product,
     power_ring,
     pushforward_projbundle,
     ring_of,
@@ -289,7 +290,8 @@ def crit_polynomial_top_coefficients() -> str:
 
 def crit_engine_invariants() -> str:
     """Ring axioms, series inversion, the projection formula for diagonal
-    pushforwards, and the diagonal self-intersection."""
+    pushforwards, the diagonal self-intersection, and the top-degree
+    pairing against the integral of the formed product."""
     rng = random.Random(99)
     rings = [
         RingDescriptor(("h",), (3,), ((0,),)),
@@ -331,6 +333,10 @@ def crit_engine_invariants() -> str:
                 space, 2, diagonal_pushforward(space, a) * block_embed(space, 2, 1, b)
             )
             assert lhs == integrate(space, a * b)
+        for l in (1, 2):
+            for _ in range(10):
+                a, b = random_poly(power_ring(space, l)), random_poly(power_ring(space, l))
+                assert integrate_product(space, l, a, b) == integrate_power(space, l, a * b)
     # fibre-integral sign lock on an assorted bundle matrix
     for space in (P1, P2):
         for E in (_bundle(space, (1,), (0,)), _bundle(space, (2,), (-1,), (0,))):
@@ -339,7 +345,7 @@ def crit_engine_invariants() -> str:
             for k in range(space.dimension + 1):
                 lhs = pushforward_projbundle(X, zeta(X) ** (r - 1 + k))
                 assert lhs == Fraction(-1) ** k * segre_class(E, k)
-    return "axioms, inverses, projection formula, Euler numbers, sign lock"
+    return "axioms, inverses, projection formula, Euler numbers, pairing, sign lock"
 
 
 CRITERIA: list[tuple[str, object]] = [

@@ -40,6 +40,7 @@ from .exactpoly import (
     map_blocks,
     permute_blocks,
     series_inverse,
+    top_pairing,
 )
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "twist",
     "integrate",
     "integrate_power",
+    "integrate_product",
     "pushforward_projbundle",
     "bundle_power_pushforward",
     "pullback_to_bundle",
@@ -307,6 +309,17 @@ def integrate_power(space: SpaceDescriptor, l: int, a: TruncPoly) -> Fraction:
         top = tuple(d for _ in range(l) for d in space.dims)
         return a.coefficient(top)
     return integrate_power(space.base, l, bundle_power_pushforward(space, l, a))
+
+
+def integrate_product(space: SpaceDescriptor, l: int, a: TruncPoly, b: TruncPoly) -> Fraction:
+    """Integral of a * b over the l-fold product of the space, without
+    forming the product.  On every supported ring the integral is the
+    coefficient of the one normal-form monomial of top degree (z^{r-1} and
+    the top base monomial in every block), which `top_pairing` reads off."""
+    ring = power_ring(space, l)
+    if a.ring != ring or b.ring != ring:
+        raise DomainError("class does not live on the l-fold product")
+    return top_pairing(a, b)
 
 
 def bundle_power_pushforward(space: ProjBundle, l: int, a: TruncPoly) -> TruncPoly:

@@ -4,18 +4,14 @@ import pytest
 
 from quotdeg.errors import DomainError
 from quotdeg.exactpoly import TruncPoly, binomial
-from quotdeg.hilb2 import (
-    PairPushforwardRequest,
-    blowup_power_pushforward,
-    hilb2_degree,
-    pair_power_pushforward,
-)
+from quotdeg.hilb2 import blowup_power_pushforward, hilb2_degree, pair_power_pushforward
 from quotdeg.varieties import (
     ProjBundle,
     ProjProduct,
     SplitBundle,
     divisor_from_vector,
     hyperplane,
+    integrate_power,
     power_ring,
     ring_of,
     swap_blocks,
@@ -94,11 +90,11 @@ def test_pair_pushforward_matches_literal_sum():
 
 def test_request_validation():
     with pytest.raises(DomainError):
-        PairPushforwardRequest(P1, hyperplane(P2, 0), 2)
+        pair_power_pushforward(P1, hyperplane(P2, 0), 2)
     with pytest.raises(DomainError):
-        PairPushforwardRequest(P2, hyperplane(P2, 0) ** 2, 2)
+        pair_power_pushforward(P2, hyperplane(P2, 0) ** 2, 2)
     with pytest.raises(DomainError):
-        PairPushforwardRequest(P2, hyperplane(P2, 0), 500)
+        pair_power_pushforward(P2, hyperplane(P2, 0), 500)
 
 
 def test_degree_P1():
@@ -158,3 +154,30 @@ def test_degree_quadric_diagonal_polarisation():
     for n in range(4):
         M = divisor_from_vector(P1xP1, (n, n))
         assert hilb2_degree(P1xP1, M) == 12 * n**4 - 24 * n**2 + 16 * n - 2
+
+
+def _degree_matrix():
+    """The (space, divisor) pairs of the degree tests above."""
+    ring = ring_of(P1)
+    h = TruncPoly.generator(ring, 0)
+    fibration = ProjBundle(P1, SplitBundle((TruncPoly.zero(ring), h)))
+    trivial = ProjBundle(P1, SplitBundle((TruncPoly.zero(ring), TruncPoly.zero(ring))))
+    cases = [(P1, n * hyperplane(P1, 0)) for n in range(6)]
+    cases += [(P2, n * hyperplane(P2, 0)) for n in range(4)]
+    cases += [(P3, n * hyperplane(P3, 0)) for n in range(4)]
+    cases += [(P1xP1, divisor_from_vector(P1xP1, v)) for n in range(4) for v in ((n, 1), (n, n))]
+    cases += [(space, TruncPoly.zero(ring_of(space))) for space in (P1, P2, P1xP1)]
+    cases += [(trivial, divisor_from_vector(trivial, (n, 1))) for n in range(3)]
+    rng = random.Random(23)
+    for _ in range(20):
+        space = rng.choice([P1, P2, P3, P1xP1, fibration])
+        vec = tuple(rng.randrange(-2, 4) for _ in range(ring_of(space).ngens))
+        cases.append((space, divisor_from_vector(space, vec)))
+    return cases
+
+
+def test_degree_equals_half_the_full_pair_pushforward_integral():
+    # the blow-up route pairs top-degree monomials; this forms every product
+    for space, M in _degree_matrix():
+        pushed = pair_power_pushforward(space, M, 2 * space.dimension)
+        assert hilb2_degree(space, M) == integrate_power(space, 2, pushed) / 2

@@ -6,7 +6,7 @@ import pytest
 
 from quotdeg import localise
 from quotdeg.errors import CrossCheckError, DomainError
-from quotdeg.exactpoly import binomial, compositions
+from quotdeg.exactpoly import binomial, compositions, poly_interpolate
 from quotdeg.localise import (
     FixedPointDatum,
     NonGenericWeightsError,
@@ -236,3 +236,36 @@ def test_exhausted_redraws_raise(monkeypatch):
     with pytest.raises(CrossCheckError):
         plucker_degree_localised(2, (1, 0), 3, 2)
     assert attempts == list(range(200))
+
+
+def test_polynomial_matches_per_twist_degrees(monkeypatch):
+    # the side tables are built once per draw and serve every n; the
+    # coefficients and the redrawn attempts must match per-n evaluation
+    rng = random.Random(7)
+    real_draw = localise._draw
+    attempts = []
+    skips = []
+
+    def draw(seed, index, r):
+        attempts.append(index)
+        if index % 7919 < skips[index // 7919]:
+            return WeightAssignment((0,) * r, 1)  # degenerate for r >= 2 and l >= 1
+        return real_draw(seed, index, r)
+
+    monkeypatch.setattr(localise, "_draw", draw)
+    redraws = 0
+    for r in (1, 2, 3):
+        for l in range(5):
+            a = tuple(rng.randint(-2, 2) for _ in range(r))
+            seed = rng.randrange(100)
+            skips[:] = [rng.randrange(3) for _ in range(3)]
+            attempts.clear()
+            poly = degree_polynomial_localised(r, a, l, seed=seed)
+            together = list(attempts)
+            redraws += len(together) - 3
+            attempts.clear()
+            values = [(n, plucker_degree_localised(r, a, l, n, seed=seed)) for n in range(l + 2)]
+            assert attempts == together * (l + 2)
+            assert poly == poly_interpolate(values[: l + 1])
+            assert poly.evaluate(l + 1) == values[l + 1][1]
+    assert redraws > 10

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quotdeg.errors import DomainError
 from quotdeg.exactpoly import TruncPoly
 from quotdeg.varieties import (
     ProjBundle,
@@ -17,6 +18,7 @@ from quotdeg.varieties import (
     hyperplane,
     integrate,
     integrate_power,
+    integrate_product,
     power_ring,
     pushforward_projbundle,
     ring_of,
@@ -242,3 +244,64 @@ def test_proj_bundle_rejects_nesting():
     X = ProjBundle(P1, line_bundles(P1, (0,), (0,)))
     with pytest.raises(Exception):
         ProjBundle(X, SplitBundle((zeta(X),)))
+
+
+def _random_terms(rng, ring, terms):
+    items = []
+    for _ in range(terms):
+        mono = tuple(rng.randrange(t) for t in ring.truncations)
+        items.append((mono, Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+    return TruncPoly(ring, items)
+
+
+def _pairing_spaces(rng):
+    spaces = [P1, P2, P1xP1]
+    for base in (P1, P2, P1xP1):
+        for r in range(1, 5):
+            roots = [tuple(rng.randint(-2, 2) for _ in base.dims) for _ in range(r)]
+            spaces.append(ProjBundle(base, line_bundles(base, *roots)))
+    return spaces
+
+
+def test_integrate_product_matches_the_formed_product():
+    rng = random.Random(2026)
+    nonzero = 0
+    for space in _pairing_spaces(rng):
+        for l in (1, 2):
+            ring = power_ring(space, l)
+            zero = TruncPoly.zero(ring)
+            assert integrate_product(space, l, zero, _random_terms(rng, ring, 5)) == 0
+            for _ in range(12):
+                a = _random_terms(rng, ring, rng.randint(1, 30))
+                b = _random_terms(rng, ring, rng.randint(1, 30))
+                if rng.random() < 0.5:
+                    # a factor with full support: a product of two classes
+                    b = b * _random_terms(rng, ring, rng.randint(1, 8))
+                expected = integrate_power(space, l, a * b)
+                assert integrate_product(space, l, a, b) == expected
+                assert integrate_product(space, l, b, a) == expected
+                nonzero += expected != 0
+                # one homogeneous factor pairs a single bucket pair
+                k = rng.randint(0, ring.max_degree)
+                part = a.graded_part(k)
+                assert integrate_product(space, l, part, b) == integrate_power(space, l, part * b)
+    assert nonzero > 300
+
+
+def test_pre_top_table_of_projective_products_is_the_top_monomial():
+    for space in (P1, P2, P3, P1xP1):
+        for l in (1, 2):
+            ring = power_ring(space, l)
+            top = ring._layout.pack(tuple(t - 1 for t in ring.truncations))
+            assert ring._pre_top == {top: 1}
+
+
+def test_integrate_product_rejects_a_class_off_the_space():
+    X = ProjBundle(P1, line_bundles(P1, (0,), (1,)))
+    h = hyperplane(P2, 0)
+    with pytest.raises(DomainError):
+        integrate_product(P2, 1, h, TruncPoly.one(power_ring(P2, 2)))
+    with pytest.raises(DomainError):
+        integrate_product(P2, 2, h, h)
+    with pytest.raises(DomainError):
+        integrate_product(X, 1, zeta(X), hyperplane(P1, 0))
