@@ -14,12 +14,11 @@ from .exactpoly import (
     TruncPoly,
     binomial,
     compositions,
-    multinomial,
     permute_blocks,
     poly_interpolate,
     series_inverse,
 )
-from .grassmann import GrassmannInstance, catalan_degree, schubert_degree, syt_count
+from .grassmann import catalan_degree, schubert_degree, syt_count
 from .hilb2 import blowup_power_pushforward, hilb2_degree, pair_power_pushforward
 from .jacobi import JacobiParams, a_coeff, jacobi_finite_sum, jacobi_hyp
 from .localise import (
@@ -39,10 +38,10 @@ from .quot2 import (
     degree2_polynomial,
     degree2_projbundle,
     delta2_class,
+    delta2_classes,
     delta2_constant,
     mu2_class,
     mu2_classes,
-    mu2_source,
 )
 from .symquot import (
     MembershipCertificate,

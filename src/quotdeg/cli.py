@@ -30,13 +30,13 @@ from .quot2 import (
     degree2_geometric,
     degree2_polynomial,
     degree2_projbundle,
-    delta2_class,
-    delta2_constant,
+    delta2_classes,
+    diagonal_multiple,
     mu2_class,
-    mu2_source,
+    mu2_classes,
 )
 from .selftest import run_selftest
-from .symquot import beauville_k3, diagonal_membership, leading_term, mu_p1_coeffs, multint, nu_class
+from .symquot import beauville_k3, leading_term, mu_p1_coeffs, multint, nu_class
 from .varieties import (
     ProjBundle,
     ProjProduct,
@@ -224,12 +224,16 @@ def _cmd_mu2(args) -> int:
 
 def _cmd_delta2(args) -> int:
     S, E, _ = _parse_instance(_load_json(args.input))
-    out = {"constant": str(delta2_constant(S, E))}
-    if args.k is not None:
-        delta = delta2_class(S, E, args.k)
-        out["k"] = args.k
+    d, k = S.dimension, args.k
+    if k is not None and not 0 <= k <= 2 * d:
+        raise DomainError("k out of range")
+    deltas = delta2_classes(S, E, d if k is None else max(d, k))
+    out = {"constant": str(diagonal_multiple(S, deltas[d][0]))}
+    if k is not None:
+        delta, certificate = deltas[k]
+        out["k"] = k
         out["class"] = delta.rep.to_dict()
-        out["membership"] = diagonal_membership(S, 2, delta).to_json()
+        out["membership"] = certificate.to_json()
     _emit(out)
     return 0
 
@@ -254,7 +258,7 @@ def _cmd_multint(args) -> int:
     l = args.l if args.l is not None else data.get("l")
     if l != 2:
         raise DomainError("pushforward classes are only modelled for l = 2")
-    value = multint(S, E, 2, divisors, mu2_source(S, E))
+    value = multint(S, E, 2, divisors, mu2_classes(S, E))
     _emit({"l": l, "value": str(value)})
     return 0
 

@@ -87,7 +87,6 @@ __all__ = [
     "permute_blocks",
     "map_blocks",
     "binomial",
-    "multinomial",
     "factorial",
     "compositions",
     "DegreePolynomial",
@@ -721,14 +720,6 @@ def binomial(x, k: int) -> Fraction:
     for i in range(k):
         num *= x - i
     return num / factorial(k)
-
-
-def multinomial(parts: Sequence[int]) -> int:
-    """(sum parts)! / prod(part!)."""
-    result = factorial(sum(parts))
-    for p in parts:
-        result //= factorial(p)
-    return result
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -11,26 +11,13 @@ from math import factorial
 
 from .errors import DomainError
 
-__all__ = ["GrassmannInstance", "schubert_degree", "catalan_degree", "syt_count"]
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class GrassmannInstance:
-    """l-dimensional quotients of an r-dimensional space."""
-
-    l: int
-    r: int
-
-    def __post_init__(self):
-        if not 1 <= self.l < self.r:
-            raise DomainError("need 1 <= l < r")
+__all__ = ["schubert_degree", "catalan_degree", "syt_count"]
 
 
 def schubert_degree(l: int, r: int) -> int:
     """Pluecker degree of the Grassmannian of l-quotients of r-space."""
-    GrassmannInstance(l, r)
+    if not 1 <= l < r:
+        raise DomainError("need 1 <= l < r")
     num = factorial(l * (r - l))
     for k in range(1, l):
         num *= factorial(k)

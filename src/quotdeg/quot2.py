@@ -27,7 +27,13 @@ from .errors import CrossCheckError, DomainError
 from .exactpoly import DegreePolynomial, TruncPoly, binomial, poly_interpolate
 from .hilb2 import hilb2_degree, pair_power_pushforward_table
 from .jacobi import a_coeff
-from .symquot import MuSource, SymClassRep, diagonal_membership, integrate_sym, nu_class
+from .symquot import (
+    MembershipCertificate,
+    SymClassRep,
+    diagonal_membership,
+    integrate_sym,
+    nu_class,
+)
 from .varieties import (
     ProjBundle,
     ProjProduct,
@@ -35,6 +41,7 @@ from .varieties import (
     boxsum,
     bundle_power_pushforward,
     diagonal_class,
+    divisor_from_vector,
     integrate,
     integrate_product,
     pullback_to_bundle,
@@ -55,8 +62,9 @@ __all__ = [
     "degree2_polynomial",
     "mu2_class",
     "mu2_classes",
-    "mu2_source",
+    "delta2_classes",
     "delta2_class",
+    "diagonal_multiple",
     "delta2_constant",
 ]
 
@@ -227,11 +235,7 @@ def degree2_polynomial(
 
 def divisor_all_ones(S: ProjProduct) -> TruncPoly:
     """Sum of the hyperplane classes, the default polarisation direction."""
-    ring = ring_of(S)
-    total = TruncPoly.zero(ring)
-    for i in range(ring.ngens):
-        total = total + TruncPoly.generator(ring, i)
-    return total
+    return divisor_from_vector(S, [1] * ring_of(S).ngens)
 
 
 def mu2_class(S: ProjProduct, E: SplitBundle, k: int) -> SymClassRep:
@@ -261,47 +265,49 @@ def mu2_classes(S: ProjProduct, E: SplitBundle, k_max: int | None = None) -> lis
     return out
 
 
-def mu2_source(S: ProjProduct, E: SplitBundle) -> MuSource:
-    """Pushforward-class source for two points, for the multi-divisor integral."""
-    table = mu2_classes(S, E)
+def delta2_classes(
+    S: ProjProduct, E: SplitBundle, k_max: int | None = None
+) -> list[tuple[SymClassRep, MembershipCertificate]]:
+    """Differences between the pushforward and multinomial classes for
+    k = 0..k_max (default 2d), from one pushforward table, each with its
+    diagonal-membership certificate.
 
-    def source(k: int) -> SymClassRep:
-        if not 0 <= k < len(table):
-            raise DomainError("k out of range")
-        return table[k]
-
-    return source
+    Each difference vanishes below the dimension of S and in every degree
+    must be certified as a combination of diagonal pushforwards; otherwise
+    the conventions are corrupted and the computation aborts.
+    """
+    d = S.dimension
+    out = []
+    for k, mu in enumerate(mu2_classes(S, E, k_max)):
+        delta = mu - nu_class(S, E, 2, k)
+        if k < d and not delta.rep.is_zero():
+            raise CrossCheckError("diagonal-defect class fails to vanish below the dimension")
+        certificate = diagonal_membership(S, 2, delta)
+        if not certificate.member:
+            raise CrossCheckError("diagonal-defect class escapes the diagonal span")
+        out.append((delta, certificate))
+    return out
 
 
 def delta2_class(S: ProjProduct, E: SplitBundle, k: int) -> SymClassRep:
-    """Difference between the pushforward class and the multinomial class.
+    """Checked difference between the pushforward and multinomial classes
+    in degree k (see delta2_classes)."""
+    return delta2_classes(S, E, k)[k][0]
 
-    Vanishes below the dimension of S; in every degree it must be certified
-    as a combination of diagonal pushforwards, otherwise the conventions are
-    corrupted and the computation aborts.
-    """
-    d = S.dimension
-    delta = mu2_class(S, E, k) - nu_class(S, E, 2, k)
-    if k < d and not delta.rep.is_zero():
-        raise CrossCheckError("diagonal-defect class fails to vanish below the dimension")
-    certificate = diagonal_membership(S, 2, delta)
-    if not certificate.member:
-        raise CrossCheckError("diagonal-defect class escapes the diagonal span")
-    return delta
+
+def diagonal_multiple(S: ProjProduct, delta: SymClassRep) -> Fraction:
+    """Constant c with delta = c * (symmetrised diagonal), for the defect
+    class in degree d; raises if delta is not such a multiple."""
+    if delta.rep.is_zero():
+        return Fraction(0)
+    reference = 2 * diagonal_class(S)
+    mono, coeff = next(iter(reference.terms.items()))
+    c = delta.rep.coefficient(mono) / coeff
+    if delta.rep != c * reference:
+        raise CrossCheckError("degree-d defect class is not proportional to the diagonal")
+    return c
 
 
 def delta2_constant(S: ProjProduct, E: SplitBundle) -> Fraction:
     """Constant c with (defect class in degree d) = c * (symmetrised diagonal)."""
-    d = S.dimension
-    delta = delta2_class(S, E, d)
-    reference = 2 * diagonal_class(S)
-    if delta.rep.is_zero():
-        return Fraction(0)
-    for mono, coeff in reference.terms.items():
-        target = delta.rep.coefficient(mono)
-        if coeff != 0:
-            c = target / coeff
-            break
-    if delta.rep != c * reference:
-        raise CrossCheckError("degree-d defect class is not proportional to the diagonal")
-    return c
+    return diagonal_multiple(S, delta2_class(S, E, S.dimension))

@@ -23,12 +23,12 @@ from .quot2 import (
     degree2_all,
     degree2_formula,
     degree2_polynomial,
+    delta2_classes,
+    diagonal_multiple,
     divisor_all_ones,
     mu2_classes,
 )
 from .symquot import (
-    SymClassRep,
-    diagonal_membership,
     integrate_sym,
     leading_term,
     nu_class,
@@ -42,6 +42,7 @@ from .varieties import (
     boxsum,
     diagonal_class,
     diagonal_pushforward,
+    divisor_from_vector,
     euler_number,
     hyperplane,
     integrate,
@@ -64,14 +65,7 @@ SPACES = (P1, P2, P3, P1xP1)
 
 
 def _bundle(space, *vectors):
-    ring = ring_of(space)
-    roots = []
-    for vec in vectors:
-        root = TruncPoly.zero(ring)
-        for i, c in enumerate(vec):
-            root = root + c * TruncPoly.generator(ring, i)
-        roots.append(root)
-    return SplitBundle(tuple(roots))
+    return SplitBundle(tuple(divisor_from_vector(space, vec) for vec in vectors))
 
 
 def instance_matrix() -> list[tuple[ProjProduct, SplitBundle]]:
@@ -115,15 +109,18 @@ def crit_degree2_pipeline_agreement() -> str:
 
 
 def crit_degree2_golden_polynomials() -> str:
-    """Exact degree polynomials for three reference instances."""
+    """Exact degree polynomials for six reference instances."""
     golden = [
         (P1, _bundle(P1, (0,)), [1, -2, 1]),
         (P1, _bundle(P1, (0,), (0,)), [6, -16, 12]),
         (P2, _bundle(P2, (0,)), [-3, 12, -12, 0, 3]),
+        (P2, _bundle(P2, (0,), (1,)), [-3, 24, -30, 180, 90]),
+        (P1xP1, _bundle(P1xP1, (0, 0)), [-2, 16, -24, 0, 12]),
+        (P1xP1, _bundle(P1xP1, (0, 0), (1, 1)), [6, 72, 240, 720, 360]),
     ]
     for space, E, expected in golden:
         assert list(degree2_polynomial(space, E)) == expected
-    return "3 reference polynomials"
+    return "6 reference polynomials"
 
 
 def crit_localisation_oracle() -> str:
@@ -191,23 +188,9 @@ def crit_diagonal_defect_classes() -> str:
     for space, E in instance_matrix():
         d = space.dimension
         p = E.rank - 1 + d
-        mu = mu2_classes(space, E)
-        delta_d = None
-        for k in range(2 * d + 1):
-            delta = mu[k] - nu_class(space, E, 2, k)
-            if k < d:
-                assert delta.rep.is_zero(), f"defect below dimension: {space} k={k}"
-            else:
-                assert diagonal_membership(space, 2, delta).member
-            if k == d:
-                delta_d = delta
-        reference = 2 * diagonal_class(space)
-        if delta_d.rep.is_zero():
-            c = Fraction(0)
-        else:
-            mono, coeff = next(iter(reference.terms.items()))
-            c = delta_d.rep.coefficient(mono) / coeff
-        assert delta_d.rep == c * reference, "degree-d defect not a diagonal multiple"
+        # delta2_classes checks vanishing below d and diagonal membership
+        deltas = delta2_classes(space, E)
+        diagonal_multiple(space, deltas[d][0])
         # exact degree split at twist n = 1
         L = divisor_all_ones(space)
         EL = twist(E, L)
@@ -249,14 +232,12 @@ def crit_multinomial_class_laws() -> str:
     rng = random.Random(2024)
     for _ in range(50):
         space = rng.choice((P1, P2))
-        ring = ring_of(space)
-        gens = [TruncPoly.generator(ring, i) for i in range(len(space.dims))]
         roots = [
-            sum((rng.randrange(-1, 3) * g for g in gens), TruncPoly.zero(ring))
+            divisor_from_vector(space, [rng.randrange(-1, 3) for _ in space.dims])
             for _ in range(rng.randrange(1, 4))
         ]
         E = SplitBundle(tuple(roots))
-        L = sum((rng.randrange(-2, 3) * g for g in gens), TruncPoly.zero(ring))
+        L = divisor_from_vector(space, [rng.randrange(-2, 3) for _ in space.dims])
         l = rng.choice((2, 3))
         k = rng.randrange(0, min(l * space.dimension, 3) + 1)
         nu_twist_check(space, E, L, l, k)
@@ -269,22 +250,13 @@ def crit_multinomial_class_laws() -> str:
 
 
 def crit_polynomial_top_coefficients() -> str:
-    """For surfaces, the top coefficients of the degree polynomial match the
-    multinomial-class prediction (checked inside degree2_polynomial)."""
-    for space in (P2, P1xP1):
-        for E in (_bundle(space, tuple(0 for _ in space.dims)),
-                  _bundle(space, tuple(0 for _ in space.dims), tuple(1 for _ in space.dims))):
-            poly = degree2_polynomial(space, E)
-            d = space.dimension
-            p = E.rank - 1 + d
-            coeffs = list(poly.coefficients) + [Fraction(0)] * (2 * d + 1 - len(poly.coefficients))
-            box = boxsum(space, 2, divisor_all_ones(space))
-            for j in range(d):
-                nu_j = nu_class(space, E, 2, j)
-                predicted = binomial(2 * p, 2 * d - j) * integrate_sym(
-                    space, SymClassRep(box ** (2 * d - j) * nu_j.rep, 2)
-                )
-                assert coeffs[2 * d - j] == predicted
+    """Surface degree polynomials along non-default polarisation directions;
+    degree2_polynomial checks their top coefficients against the
+    multinomial-class prediction."""
+    for space, vec in ((P2, (2,)), (P1xP1, (1, 2))):
+        zero, ones = (0,) * len(vec), (1,) * len(vec)
+        for E in (_bundle(space, zero), _bundle(space, zero, ones)):
+            degree2_polynomial(space, E, divisor_from_vector(space, vec))
     return "4 surface instances"
 
 

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import CrossCheckError, DomainError
 from .exactpoly import (
@@ -185,35 +185,17 @@ def nu_twist_check(S: SpaceDescriptor, E: SplitBundle, Lc1: TruncPoly, l: int, k
     return twisted
 
 
-MuSource = Callable[[int], SymClassRep]
-
-
-def nu_source(S: SpaceDescriptor, E: SplitBundle, l: int) -> MuSource:
-    """Source valid only below the dimension of S, where the pushforward
-    classes coincide with the multinomial ones."""
-    d = S.dimension
-
-    def source(k: int) -> SymClassRep:
-        if k >= d:
-            raise DomainError(
-                "pushforward classes above degree dim S - 1 need a geometric model"
-            )
-        return nu_class(S, E, l, k)
-
-    return source
-
-
 def multint(
     S: SpaceDescriptor,
     E: SplitBundle,
     l: int,
     divisors: Sequence[TruncPoly],
-    mu_source: MuSource,
+    mu: Sequence[SymClassRep],
 ) -> Fraction:
     """Integral of a product of lp distinct tautological divisor classes.
 
     Expands through elementary symmetric polynomials of the symmetrised
-    divisors against the pushforward classes supplied by mu_source.
+    divisors against the pushforward classes mu[k], k = 0..ld.
     """
     d = S.dimension
     r = E.rank
@@ -234,8 +216,7 @@ def multint(
         sigma = elementary[top - k]
         if sigma.is_zero():
             continue
-        mu_k = mu_source(k)
-        total += integrate_sym(S, SymClassRep(sigma * mu_k.rep, l))
+        total += integrate_sym(S, SymClassRep(sigma * mu[k].rep, l))
     return total
 
 

@@ -38,7 +38,6 @@ from .exactpoly import (
     RingDescriptor,
     TruncPoly,
     map_blocks,
-    permute_blocks,
     series_inverse,
     top_pairing,
 )
@@ -395,7 +394,3 @@ def euler_number(space: SpaceDescriptor) -> Fraction:
     dim = space.dimension
     return integrate(space, tangent_chern(space).graded_part(dim))
 
-
-def swap_blocks(a: TruncPoly) -> TruncPoly:
-    """Exchange the two blocks of a square ring."""
-    return permute_blocks(a, (1, 0))

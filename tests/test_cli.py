@@ -122,6 +122,30 @@ def test_mu2_and_delta2(capsys, p1_rank2):
     assert data["membership"]["member"] is True
 
 
+def test_delta2_builds_one_pushforward_table(capsys, monkeypatch, p1_rank2):
+    from quotdeg import quot2
+
+    calls = []
+    real = quot2.pair_power_pushforward_table
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quot2, "pair_power_pushforward_table", counted)
+    code, out = run(capsys, ["delta2", "--input", p1_rank2, "--k", "2"])
+    assert code == 0
+    assert json.loads(out)["k"] == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", ["-1", "3"])
+def test_delta2_k_out_of_range(capsys, p1_rank2, k):
+    code, out = run(capsys, ["delta2", "--input", p1_rank2, "--k", k])
+    assert code == 2
+    assert out == '{"error": "k out of range"}\n'
+
+
 def test_leading(capsys, p1_rank2):
     code, out = run(capsys, ["leading", "--input", p1_rank2, "--l", "2", "--n", "1"])
     assert code == 0

@@ -12,7 +12,6 @@ from quotdeg.exactpoly import (
     TruncPoly,
     binomial,
     compositions,
-    multinomial,
     permute_blocks,
     poly_interpolate,
     series_inverse,
@@ -133,11 +132,6 @@ def test_binomial_values():
             for upper in (x, Fraction(x)):
                 got = binomial(upper, k)
                 assert type(got) is Fraction and got == want, (upper, k)
-
-
-def test_multinomial():
-    assert multinomial((2, 1, 1)) == 12
-    assert multinomial((0, 0)) == 1
 
 
 def test_compositions():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from quotdeg.errors import DomainError
-from quotdeg.exactpoly import TruncPoly, binomial
+from quotdeg.exactpoly import TruncPoly, binomial, permute_blocks
 from quotdeg.hilb2 import blowup_power_pushforward, hilb2_degree, pair_power_pushforward
 from quotdeg.varieties import (
     ProjBundle,
@@ -14,7 +14,6 @@ from quotdeg.varieties import (
     integrate_power,
     power_ring,
     ring_of,
-    swap_blocks,
 )
 
 P1 = ProjProduct((1,))
@@ -60,7 +59,7 @@ def test_pair_pushforward_P1_hand_expansion():
 
 def test_pair_pushforward_swap_symmetric():
     out = pair_power_pushforward(P2, hyperplane(P2, 0), 4)
-    assert swap_blocks(out) == out
+    assert permute_blocks(out, (1, 0)) == out
 
 
 def test_pair_pushforward_pure_degree():

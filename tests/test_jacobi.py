@@ -51,31 +51,10 @@ def test_finite_sum_domain():
         jacobi_finite_sum(P(Fraction(1, 2), 0, 1, 0))
 
 
-def test_finite_sum_matches_hyp_on_grid():
-    zs = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1)]
-    for alpha in range(1, 11):
-        for beta in range(-10, 1):
-            for n in range(0, 9):
-                if not beta > -n - alpha - 1:
-                    continue
-                for z in zs:
-                    params = P(alpha, beta, n, z)
-                    assert jacobi_finite_sum(params) == jacobi_hyp(params)
-
-
 def test_a_coeff_examples():
     assert a_coeff(1, 1, 1, 0) == Fraction(1, 2)
     assert a_coeff(1, 1, 0, 1) == Fraction(-3, 2)
     assert a_coeff(2, 1, 0, 0) == Fraction(-5, 4)
-
-
-def test_a_coeff_dual_route_grid():
-    # the dual-route comparison runs inside a_coeff; sweep the whole grid
-    for r in range(1, 6):
-        for d in range(1, 5):
-            for k in range(0, d + 1):
-                for j in range(0, d - k + 1):
-                    a_coeff(r, d, k, j)
 
 
 def test_a_coeff_domain():

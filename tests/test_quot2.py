@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from quotdeg.errors import DomainError
+from quotdeg.errors import CrossCheckError, DomainError
 from quotdeg.exactpoly import TruncPoly
 from quotdeg.quot2 import (
     Quot2Instance,
@@ -12,12 +12,14 @@ from quotdeg.quot2 import (
     degree2_polynomial,
     degree2_projbundle,
     delta2_class,
+    delta2_classes,
     delta2_constant,
+    diagonal_multiple,
     divisor_all_ones,
     mu2_class,
     mu2_classes,
 )
-from quotdeg.symquot import diagonal_membership, integrate_sym, nu_class
+from quotdeg.symquot import SymClassRep, diagonal_membership, integrate_sym, nu_class
 from quotdeg.varieties import (
     ProjProduct,
     SplitBundle,
@@ -155,6 +157,62 @@ def test_delta2_constant_scales_diagonal():
     c = delta2_constant(P2, E)
     delta = delta2_class(P2, E, 2)
     assert delta.rep == c * 2 * diagonal_class(P2)
+
+
+@pytest.mark.parametrize(
+    "space, roots",
+    [
+        (P1, [(0,)]),
+        (P1, [(1,), (-1,)]),
+        (P2, [(1,), (0,)]),
+        (P2, [(0,), (1,), (2,)]),
+        (P1xP1, [(1, 1)]),
+        (P1xP1, [(1, 0), (0, 1)]),
+        (P1xP1, [(0, 0), (1, 1), (2, -1)]),
+    ],
+)
+def test_delta2_classes_match_per_degree_calls(space, roots):
+    E = bundle(space, *roots)
+    table = delta2_classes(space, E)
+    assert len(table) == 2 * space.dimension + 1
+    for k, (delta, certificate) in enumerate(table):
+        assert delta == delta2_class(space, E, k)
+        assert certificate == diagonal_membership(space, 2, delta)
+    d = space.dimension
+    assert delta2_constant(space, E) == diagonal_multiple(space, table[d][0])
+
+
+def off_diagonal_square():
+    """h1^2 + h2^2 on P2 x P2: invariant, of degree 2, not a diagonal multiple."""
+    square = power_ring(P2, 2)
+    h1, h2 = TruncPoly.generator(square, 0), TruncPoly.generator(square, 1)
+    return SymClassRep(h1**2 + h2**2, 2)
+
+
+def nu_off_diagonal_in_degree_2(S, E, l, k):
+    nu = nu_class(S, E, l, k)
+    return nu + off_diagonal_square() if k == 2 else nu
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda S, E, l, k: 2 * nu_class(S, E, l, k), "fails to vanish"),
+        (nu_off_diagonal_in_degree_2, "escapes the diagonal span"),
+    ],
+)
+def test_delta2_classes_reject_corrupted_conventions(monkeypatch, corrupt, message):
+    from quotdeg import quot2
+
+    monkeypatch.setattr(quot2, "nu_class", corrupt)
+    with pytest.raises(CrossCheckError, match=message):
+        delta2_classes(P2, bundle(P2, (1,), (0,)))
+
+
+def test_diagonal_multiple_rejects_off_diagonal_class():
+    assert diagonal_multiple(P2, SymClassRep(3 * 2 * diagonal_class(P2), 2)) == 3
+    with pytest.raises(CrossCheckError, match="not proportional"):
+        diagonal_multiple(P2, off_diagonal_square())
 
 
 def test_leading_term_split():

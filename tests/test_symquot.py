@@ -15,7 +15,6 @@ from quotdeg.symquot import (
     multint,
     mu_p1_coeffs,
     nu_class,
-    nu_source,
     nu_twist_check,
 )
 from quotdeg.varieties import (
@@ -171,26 +170,26 @@ def test_twist_identity_random():
 
 
 def test_multint_collapses_to_degree():
-    from quotdeg.quot2 import Quot2Instance, degree2_formula, mu2_source
+    from quotdeg.quot2 import Quot2Instance, degree2_formula, mu2_classes
 
     E = bundle(P1, (0,), (0,))
     h = hyperplane(P1, 0)
     n = 2
     lp = 2 * 2
-    value = multint(P1, E, 2, [n * h] * lp, mu2_source(P1, E))
+    value = multint(P1, E, 2, [n * h] * lp, mu2_classes(P1, E))
     assert value == degree2_formula(Quot2Instance(P1, E, n * h))
 
 
 @pytest.mark.parametrize("ns", [(1, 2), (0, 3), (2, 0)])
 def test_multint_polarisation(ns):
     # distinct twists on the line, compared against a direct expansion
-    from quotdeg.quot2 import mu2_classes, mu2_source
+    from quotdeg.quot2 import mu2_classes
 
     E = bundle(P1, (0,))
     h = hyperplane(P1, 0)
-    value = multint(P1, E, 2, [n * h for n in ns], mu2_source(P1, E))
-    # direct expansion: sum_k sigma_{2-k}(n_1, n_2) int c1^{2-k} mu_k
     reps = mu2_classes(P1, E)
+    value = multint(P1, E, 2, [n * h for n in ns], reps)
+    # direct expansion: sum_k sigma_{2-k}(n_1, n_2) int c1^{2-k} mu_k
     box = boxsum(P1, 2, h)
     sigmas = {0: Fraction(1), 1: Fraction(ns[0] + ns[1]), 2: Fraction(ns[0] * ns[1])}
     expected = sum(
@@ -201,18 +200,11 @@ def test_multint_polarisation(ns):
 
 
 def test_multint_needs_lp_divisors():
-    from quotdeg.quot2 import mu2_source
+    from quotdeg.quot2 import mu2_classes
 
     E = bundle(P1, (0,))
     with pytest.raises(DomainError):
-        multint(P1, E, 2, [hyperplane(P1, 0)], mu2_source(P1, E))
-
-
-def test_nu_source_guard():
-    source = nu_source(P2, trivial(P2, 2), 3)
-    source(1)
-    with pytest.raises(DomainError):
-        source(2)
+        multint(P1, E, 2, [hyperplane(P1, 0)], mu2_classes(P1, E))
 
 
 def test_membership_zero_and_generator():
@@ -317,12 +309,12 @@ def test_diagonal_span_four_points_symmetric():
 
 def test_multint_mixed_divisors_hand_value():
     # for O + O on the line: 2 sigma_2 - 4 sigma_1 + 6 over four twists
-    from quotdeg.quot2 import mu2_source
+    from quotdeg.quot2 import mu2_classes
 
     E = bundle(P1, (0,), (0,))
     h = hyperplane(P1, 0)
     ns = (1, 2, 0, 3)
-    value = multint(P1, E, 2, [n * h for n in ns], mu2_source(P1, E))
+    value = multint(P1, E, 2, [n * h for n in ns], mu2_classes(P1, E))
     sigma1 = sum(ns)
     sigma2 = sum(ns[i] * ns[j] for i in range(4) for j in range(i + 1, 4))
     assert value == 2 * sigma2 - 4 * sigma1 + 6 == 4

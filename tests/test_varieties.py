@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quotdeg.errors import DomainError
-from quotdeg.exactpoly import TruncPoly
+from quotdeg.exactpoly import TruncPoly, permute_blocks
 from quotdeg.varieties import (
     ProjBundle,
     ProjProduct,
@@ -25,7 +25,6 @@ from quotdeg.varieties import (
     segre_class,
     segre_scheme,
     segre_total,
-    swap_blocks,
     twist,
     zeta,
 )
@@ -177,7 +176,7 @@ def test_diagonal_classical():
 def test_diagonal_swap_invariant():
     for space in (P1, P2, P1xP1, ProjBundle(P1, line_bundles(P1, (0,), (1,)))):
         d = diagonal_class(space)
-        assert swap_blocks(d) == d
+        assert permute_blocks(d, (1, 0)) == d
 
 
 def test_diagonal_self_intersection_is_euler():
