@@ -19,7 +19,7 @@ from .exactpoly import (
     series_inverse,
 )
 from .grassmann import catalan_degree, schubert_degree, syt_count
-from .hilb2 import blowup_power_pushforward, hilb2_degree, pair_power_pushforward
+from .hilb2 import blowup_power_pushforward, hilb2_degree, pair_power_pushforward_table
 from .jacobi import JacobiParams, a_coeff, jacobi_finite_sum, jacobi_hyp
 from .localise import (
     FixedPointDatum,
@@ -37,10 +37,8 @@ from .quot2 import (
     degree2_geometric,
     degree2_polynomial,
     degree2_projbundle,
-    delta2_class,
     delta2_classes,
     delta2_constant,
-    mu2_class,
     mu2_classes,
 )
 from .symquot import (
@@ -67,7 +65,6 @@ from .varieties import (
     euler_number,
     hyperplane,
     integrate,
-    pushforward_projbundle,
     ring_of,
     segre_class,
     segre_scheme,

@@ -32,7 +32,6 @@ from .quot2 import (
     degree2_projbundle,
     delta2_classes,
     diagonal_multiple,
-    mu2_class,
     mu2_classes,
 )
 from .selftest import run_selftest
@@ -217,7 +216,7 @@ def _cmd_nu(args) -> int:
 
 def _cmd_mu2(args) -> int:
     S, E, _ = _parse_instance(_load_json(args.input))
-    rep = mu2_class(S, E, args.k)
+    rep = mu2_classes(S, E, args.k)[args.k]
     _emit({"l": 2, "k": args.k, "class": rep.rep.to_dict()})
     return 0
 

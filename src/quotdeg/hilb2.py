@@ -28,7 +28,6 @@ from .varieties import (
 
 __all__ = [
     "blowup_power_pushforward",
-    "pair_power_pushforward",
     "pair_power_pushforward_table",
     "hilb2_degree",
 ]
@@ -65,24 +64,26 @@ def blowup_power_pushforward(space: SpaceDescriptor, m: int) -> TruncPoly:
     return -diagonal_pushforward(space, s)
 
 
-def pair_power_pushforward(space: SpaceDescriptor, divisor: TruncPoly, power: int) -> TruncPoly:
-    """Push c_1(pulled-back tautological sheaf)^N from the blow-up to X x X.
+def pair_power_pushforward_table(
+    space: SpaceDescriptor, divisor: TruncPoly, max_power: int
+) -> list[TruncPoly]:
+    """Push c_1(pulled-back tautological sheaf)^N from the blow-up to X x X,
+    for N = 0..max_power, sharing one table of box powers.
 
     Expanding the divisor as (M boxplus M) + exceptional class gives
     sum_m binom(N, m) (M boxplus M)^{N-m} * blowup_power_pushforward(m).
     """
-    _check_request(space, divisor, power)
-    return _power_sum(_box_powers(space, divisor, power), _exceptional(space, power), power)
-
-
-def pair_power_pushforward_table(
-    space: SpaceDescriptor, divisor: TruncPoly, max_power: int
-) -> list[TruncPoly]:
-    """All pair pushforwards for powers 0..max_power, sharing the power table."""
     _check_request(space, divisor, max_power)
     box_powers = _box_powers(space, divisor, max_power)
     exc = _exceptional(space, max_power)
-    return [_power_sum(box_powers, exc, n) for n in range(max_power + 1)]
+    out = []
+    for n in range(max_power + 1):
+        total = TruncPoly.zero(box_powers[0].ring)
+        for m, e in exc.items():
+            if m <= n:
+                total = total + binomial(n, m) * box_powers[n - m] * e
+        out.append(total)
+    return out
 
 
 def _box_powers(space: SpaceDescriptor, divisor: TruncPoly, top: int) -> list[TruncPoly]:
@@ -102,16 +103,6 @@ def _exceptional(space: SpaceDescriptor, top: int) -> dict[int, TruncPoly]:
         if not e.is_zero():
             exc[m] = e
     return exc
-
-
-def _power_sum(box_powers: list[TruncPoly], exc: dict[int, TruncPoly], n: int) -> TruncPoly:
-    """The pair pushforward in power n from the box powers and the
-    exceptional pushforwards."""
-    total = TruncPoly.zero(box_powers[0].ring)
-    for m, e in exc.items():
-        if m <= n:
-            total = total + binomial(n, m) * box_powers[n - m] * e
-    return total
 
 
 def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:

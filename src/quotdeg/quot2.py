@@ -31,7 +31,6 @@ from .symquot import (
     MembershipCertificate,
     SymClassRep,
     diagonal_membership,
-    integrate_sym,
     nu_class,
 )
 from .varieties import (
@@ -60,10 +59,8 @@ __all__ = [
     "degree2_geometric",
     "degree2_all",
     "degree2_polynomial",
-    "mu2_class",
     "mu2_classes",
     "delta2_classes",
-    "delta2_class",
     "diagonal_multiple",
     "delta2_constant",
 ]
@@ -223,9 +220,9 @@ def degree2_polynomial(
     box = boxsum(S, 2, direction)
     for j in range(d):
         nu_j = nu_class(S, E, 2, j)
-        predicted = binomial(2 * p, 2 * d - j) * integrate_sym(
-            S, SymClassRep(box ** (2 * d - j) * nu_j.rep, 2)
-        )
+        predicted = binomial(2 * p, 2 * d - j) * integrate_product(
+            S, 2, box ** (2 * d - j), nu_j.rep
+        ) / 2
         if coeffs[2 * d - j] != predicted:
             raise CrossCheckError(
                 f"coefficient of n^{2 * d - j} disagrees with the multinomial prediction"
@@ -236,12 +233,6 @@ def degree2_polynomial(
 def divisor_all_ones(S: ProjProduct) -> TruncPoly:
     """Sum of the hyperplane classes, the default polarisation direction."""
     return divisor_from_vector(S, [1] * ring_of(S).ngens)
-
-
-def mu2_class(S: ProjProduct, E: SplitBundle, k: int) -> SymClassRep:
-    """Pushforward of the (2(r-1)+k)-th tautological divisor power along the
-    cycle map, as an invariant class of degree k on S x S."""
-    return mu2_classes(S, E, k_max=k)[k]
 
 
 def mu2_classes(S: ProjProduct, E: SplitBundle, k_max: int | None = None) -> list[SymClassRep]:
@@ -279,7 +270,7 @@ def delta2_classes(
     d = S.dimension
     out = []
     for k, mu in enumerate(mu2_classes(S, E, k_max)):
-        delta = mu - nu_class(S, E, 2, k)
+        delta = SymClassRep(mu.rep - nu_class(S, E, 2, k).rep, 2)
         if k < d and not delta.rep.is_zero():
             raise CrossCheckError("diagonal-defect class fails to vanish below the dimension")
         certificate = diagonal_membership(S, 2, delta)
@@ -287,12 +278,6 @@ def delta2_classes(
             raise CrossCheckError("diagonal-defect class escapes the diagonal span")
         out.append((delta, certificate))
     return out
-
-
-def delta2_class(S: ProjProduct, E: SplitBundle, k: int) -> SymClassRep:
-    """Checked difference between the pushforward and multinomial classes
-    in degree k (see delta2_classes)."""
-    return delta2_classes(S, E, k)[k][0]
 
 
 def diagonal_multiple(S: ProjProduct, delta: SymClassRep) -> Fraction:
@@ -310,4 +295,5 @@ def diagonal_multiple(S: ProjProduct, delta: SymClassRep) -> Fraction:
 
 def delta2_constant(S: ProjProduct, E: SplitBundle) -> Fraction:
     """Constant c with (defect class in degree d) = c * (symmetrised diagonal)."""
-    return diagonal_multiple(S, delta2_class(S, E, S.dimension))
+    d = S.dimension
+    return diagonal_multiple(S, delta2_classes(S, E, d)[d][0])

@@ -29,7 +29,6 @@ from .quot2 import (
     mu2_classes,
 )
 from .symquot import (
-    integrate_sym,
     leading_term,
     nu_class,
     nu_twist_check,
@@ -40,6 +39,7 @@ from .varieties import (
     SplitBundle,
     block_embed,
     boxsum,
+    bundle_power_pushforward,
     diagonal_class,
     diagonal_pushforward,
     divisor_from_vector,
@@ -49,7 +49,6 @@ from .varieties import (
     integrate_power,
     integrate_product,
     power_ring,
-    pushforward_projbundle,
     ring_of,
     segre_class,
     twist,
@@ -197,8 +196,8 @@ def crit_diagonal_defect_classes() -> str:
         value = degree2_formula(Quot2Instance(space, E, L))
         sd = integrate(space, segre_class(EL, d))
         leading = Fraction(factorial(2 * p), 2 * factorial(p) ** 2) * sd**2
-        defect_top = mu2_classes(space, EL)[2 * d] - nu_class(space, EL, 2, 2 * d)
-        assert value == leading + integrate_sym(space, defect_top)
+        defect_top = mu2_classes(space, EL)[2 * d].rep - nu_class(space, EL, 2, 2 * d).rep
+        assert value == leading + integrate_power(space, 2, defect_top) / 2
         combos += 1
     return f"{combos} (space, bundle) pairs"
 
@@ -315,7 +314,7 @@ def crit_engine_invariants() -> str:
             X = ProjBundle(space, E)
             r = E.rank
             for k in range(space.dimension + 1):
-                lhs = pushforward_projbundle(X, zeta(X) ** (r - 1 + k))
+                lhs = bundle_power_pushforward(X, 1, zeta(X) ** (r - 1 + k))
                 assert lhs == Fraction(-1) ** k * segre_class(E, k)
     return "axioms, inverses, projection formula, Euler numbers, pairing, sign lock"
 

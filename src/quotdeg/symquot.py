@@ -38,6 +38,7 @@ from .varieties import (
     diagonal_class,
     integrate,
     integrate_power,
+    integrate_product,
     power_ring,
     ring_of,
     segre_class,
@@ -62,7 +63,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymClassRep:
-    """Invariant representative on S^l of a class on the symmetric product."""
+    """Invariant representative on S^l of a class on the symmetric product.
+
+    Each class is checked once, when it is built; arithmetic and integrals
+    act on `rep` directly.
+    """
 
     rep: TruncPoly
     l: int
@@ -79,26 +84,6 @@ class SymClassRep:
             sigma[m], sigma[m + 1] = sigma[m + 1], sigma[m]
             if permute_blocks(self.rep, sigma) != self.rep:
                 raise CrossCheckError("representative is not block-permutation invariant")
-
-    @property
-    def degree(self):
-        d = self.rep.total_degree()
-        return None if d < 0 else d
-
-    def __add__(self, other: "SymClassRep") -> "SymClassRep":
-        if self.l != other.l:
-            raise DomainError("mixed symmetric powers")
-        return SymClassRep(self.rep + other.rep, self.l)
-
-    def __sub__(self, other: "SymClassRep") -> "SymClassRep":
-        if self.l != other.l:
-            raise DomainError("mixed symmetric powers")
-        return SymClassRep(self.rep - other.rep, self.l)
-
-    def __mul__(self, scalar) -> "SymClassRep":
-        return SymClassRep(self.rep * scalar, self.l)
-
-    __rmul__ = __mul__
 
 
 def nu_class(S: SpaceDescriptor, E: SplitBundle, l: int, k: int) -> SymClassRep:
@@ -202,6 +187,8 @@ def multint(
     p = r - 1 + d
     if len(divisors) != l * p:
         raise DomainError(f"expected {l * p} divisors, got {len(divisors)}")
+    if len(mu) != l * d + 1:
+        raise DomainError(f"expected {l * d + 1} pushforward classes, got {len(mu)}")
     target = power_ring(S, l)
     boxes = [boxsum(S, l, D) for D in divisors]
     # elementary symmetric polynomials e_0..e_{ld} of the box sums
@@ -216,8 +203,8 @@ def multint(
         sigma = elementary[top - k]
         if sigma.is_zero():
             continue
-        total += integrate_sym(S, SymClassRep(sigma * mu[k].rep, l))
-    return total
+        total += integrate_product(S, l, sigma, mu[k].rep)
+    return total / factorial(l)
 
 
 @dataclass(frozen=True)

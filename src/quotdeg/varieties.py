@@ -63,7 +63,6 @@ __all__ = [
     "integrate",
     "integrate_power",
     "integrate_product",
-    "pushforward_projbundle",
     "bundle_power_pushforward",
     "pullback_to_bundle",
     "diagonal_class",
@@ -340,11 +339,6 @@ def bundle_power_pushforward(space: ProjBundle, l: int, a: TruncPoly) -> TruncPo
                 expo[m * k + j] = mono[m * width + j]
         items.append((tuple(expo), coeff))
     return TruncPoly(dst, items)
-
-
-def pushforward_projbundle(space: ProjBundle, a: TruncPoly) -> TruncPoly:
-    """Fibre integral of a single projective bundle."""
-    return bundle_power_pushforward(space, 1, a)
 
 
 # -- diagonals -------------------------------------------------------------

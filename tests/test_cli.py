@@ -140,6 +140,13 @@ def test_delta2_builds_one_pushforward_table(capsys, monkeypatch, p1_rank2):
 
 
 @pytest.mark.parametrize("k", ["-1", "3"])
+def test_mu2_k_out_of_range(capsys, p1_rank2, k):
+    code, out = run(capsys, ["mu2", "--input", p1_rank2, "--k", k])
+    assert code == 2
+    assert out == '{"error": "k out of range"}\n'
+
+
+@pytest.mark.parametrize("k", ["-1", "3"])
 def test_delta2_k_out_of_range(capsys, p1_rank2, k):
     code, out = run(capsys, ["delta2", "--input", p1_rank2, "--k", k])
     assert code == 2

@@ -4,7 +4,7 @@ import pytest
 
 from quotdeg.errors import DomainError
 from quotdeg.exactpoly import TruncPoly, binomial, permute_blocks
-from quotdeg.hilb2 import blowup_power_pushforward, hilb2_degree, pair_power_pushforward
+from quotdeg.hilb2 import blowup_power_pushforward, hilb2_degree, pair_power_pushforward_table
 from quotdeg.varieties import (
     ProjBundle,
     ProjProduct,
@@ -45,26 +45,26 @@ def test_blowup_pushforward_P2_m3():
 
 
 def test_pair_pushforward_power_zero():
-    out = pair_power_pushforward(P2, hyperplane(P2, 0), 0)
+    out = pair_power_pushforward_table(P2, hyperplane(P2, 0), 0)[0]
     assert out == TruncPoly.one(power_ring(P2, 2))
 
 
 def test_pair_pushforward_P1_hand_expansion():
     n = 3
-    out = pair_power_pushforward(P1, n * hyperplane(P1, 0), 2)
+    out = pair_power_pushforward_table(P1, n * hyperplane(P1, 0), 2)[2]
     square = power_ring(P1, 2)
     top = TruncPoly.generator(square, 0) * TruncPoly.generator(square, 1)
     assert out == 2 * (n - 1) ** 2 * top
 
 
 def test_pair_pushforward_swap_symmetric():
-    out = pair_power_pushforward(P2, hyperplane(P2, 0), 4)
+    out = pair_power_pushforward_table(P2, hyperplane(P2, 0), 4)[4]
     assert permute_blocks(out, (1, 0)) == out
 
 
 def test_pair_pushforward_pure_degree():
-    for n in range(5):
-        out = pair_power_pushforward(P1xP1, divisor_from_vector(P1xP1, (1, 2)), n)
+    table = pair_power_pushforward_table(P1xP1, divisor_from_vector(P1xP1, (1, 2)), 4)
+    for n, out in enumerate(table):
         assert out.is_homogeneous()
         if not out.is_zero():
             assert out.total_degree() == n
@@ -84,16 +84,16 @@ def test_pair_pushforward_matches_literal_sum():
             literal = TruncPoly.zero(power_ring(space, 2))
             for m in range(N + 1):
                 literal = literal + binomial(N, m) * box ** (N - m) * blowup_power_pushforward(space, m)
-            assert pair_power_pushforward(space, M, N) == literal
+            assert pair_power_pushforward_table(space, M, N)[N] == literal
 
 
 def test_request_validation():
     with pytest.raises(DomainError):
-        pair_power_pushforward(P1, hyperplane(P2, 0), 2)
+        pair_power_pushforward_table(P1, hyperplane(P2, 0), 2)
     with pytest.raises(DomainError):
-        pair_power_pushforward(P2, hyperplane(P2, 0) ** 2, 2)
+        pair_power_pushforward_table(P2, hyperplane(P2, 0) ** 2, 2)
     with pytest.raises(DomainError):
-        pair_power_pushforward(P2, hyperplane(P2, 0), 500)
+        pair_power_pushforward_table(P2, hyperplane(P2, 0), 500)
 
 
 def test_degree_P1():
@@ -178,5 +178,5 @@ def _degree_matrix():
 def test_degree_equals_half_the_full_pair_pushforward_integral():
     # the blow-up route pairs top-degree monomials; this forms every product
     for space, M in _degree_matrix():
-        pushed = pair_power_pushforward(space, M, 2 * space.dimension)
+        pushed = pair_power_pushforward_table(space, M, 2 * space.dimension)[-1]
         assert hilb2_degree(space, M) == integrate_power(space, 2, pushed) / 2

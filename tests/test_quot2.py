@@ -11,12 +11,10 @@ from quotdeg.quot2 import (
     degree2_geometric,
     degree2_polynomial,
     degree2_projbundle,
-    delta2_class,
     delta2_classes,
     delta2_constant,
     diagonal_multiple,
     divisor_all_ones,
-    mu2_class,
     mu2_classes,
 )
 from quotdeg.symquot import SymClassRep, diagonal_membership, integrate_sym, nu_class
@@ -24,10 +22,10 @@ from quotdeg.varieties import (
     ProjProduct,
     SplitBundle,
     diagonal_class,
+    divisor_from_vector,
     hyperplane,
     integrate,
     power_ring,
-    ring_of,
     segre_class,
     twist,
 )
@@ -38,14 +36,7 @@ P1xP1 = ProjProduct((1, 1))
 
 
 def bundle(space, *vectors):
-    ring = ring_of(space)
-    roots = []
-    for vec in vectors:
-        root = TruncPoly.zero(ring)
-        for i, c in enumerate(vec):
-            root = root + c * TruncPoly.generator(ring, i)
-        roots.append(root)
-    return SplitBundle(tuple(roots))
+    return SplitBundle(tuple(divisor_from_vector(space, vec) for vec in vectors))
 
 
 def inst(space, E, n):
@@ -98,13 +89,13 @@ def test_mu2_degree_zero_constant():
         (P1, bundle(P1, (0,), (0,)), 2),
         (P2, bundle(P2, (1,), (0,), (0,)), 6),
     ]:
-        rep = mu2_class(space, E, 0)
+        rep = mu2_classes(space, E, 0)[0]
         assert rep.rep == TruncPoly.constant(power_ring(space, 2), expected)
 
 
 def test_mu2_degree_one_example():
     E = bundle(P2, (1,), (1,))
-    rep = mu2_class(P2, E, 1)
+    rep = mu2_classes(P2, E, 1)[1]
     square = power_ring(P2, 2)
     h1, h2 = TruncPoly.generator(square, 0), TruncPoly.generator(square, 1)
     assert rep.rep == 6 * (h1 + h2)
@@ -120,7 +111,7 @@ def test_mu2_trivial_bundle_vanishing():
 
 def test_mu2_range_guard():
     with pytest.raises(DomainError):
-        mu2_class(P1, bundle(P1, (0,)), 3)
+        mu2_classes(P1, bundle(P1, (0,)), 3)
 
 
 def test_mu2_line_coefficients():
@@ -136,15 +127,16 @@ def test_mu2_line_coefficients():
 
 def test_delta2_vanishes_below_dimension():
     for space, E in [(P2, bundle(P2, (1,), (0,))), (P1xP1, bundle(P1xP1, (1, 0), (0, 1)))]:
+        deltas = delta2_classes(space, E)
         for k in range(space.dimension):
-            assert delta2_class(space, E, k).rep.is_zero()
+            assert deltas[k][0].rep.is_zero()
 
 
 def test_delta2_membership_certified():
     E = bundle(P2, (0,), (0,))
+    deltas = delta2_classes(P2, E)
     for k in range(2, 5):
-        delta = delta2_class(P2, E, k)
-        cert = diagonal_membership(P2, 2, delta)
+        cert = diagonal_membership(P2, 2, deltas[k][0])
         assert cert.member
 
 
@@ -155,7 +147,7 @@ def test_delta2_constant_line():
 def test_delta2_constant_scales_diagonal():
     E = bundle(P2, (1,), (0,))
     c = delta2_constant(P2, E)
-    delta = delta2_class(P2, E, 2)
+    delta = delta2_classes(P2, E)[2][0]
     assert delta.rep == c * 2 * diagonal_class(P2)
 
 
@@ -176,7 +168,7 @@ def test_delta2_classes_match_per_degree_calls(space, roots):
     table = delta2_classes(space, E)
     assert len(table) == 2 * space.dimension + 1
     for k, (delta, certificate) in enumerate(table):
-        assert delta == delta2_class(space, E, k)
+        assert delta == delta2_classes(space, E, k)[k][0]
         assert certificate == diagonal_membership(space, 2, delta)
     d = space.dimension
     assert delta2_constant(space, E) == diagonal_multiple(space, table[d][0])
@@ -191,13 +183,13 @@ def off_diagonal_square():
 
 def nu_off_diagonal_in_degree_2(S, E, l, k):
     nu = nu_class(S, E, l, k)
-    return nu + off_diagonal_square() if k == 2 else nu
+    return SymClassRep(nu.rep + off_diagonal_square().rep, l) if k == 2 else nu
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda S, E, l, k: 2 * nu_class(S, E, l, k), "fails to vanish"),
+        (lambda S, E, l, k: SymClassRep(2 * nu_class(S, E, l, k).rep, l), "fails to vanish"),
         (nu_off_diagonal_in_degree_2, "escapes the diagonal span"),
     ],
 )
@@ -207,6 +199,29 @@ def test_delta2_classes_reject_corrupted_conventions(monkeypatch, corrupt, messa
     monkeypatch.setattr(quot2, "nu_class", corrupt)
     with pytest.raises(CrossCheckError, match=message):
         delta2_classes(P2, bundle(P2, (1,), (0,)))
+
+
+def test_mu2_classes_reject_a_shifted_power_table(monkeypatch):
+    # each entry one power too low: invariant and homogeneous, but of degree
+    # k - 1, so only the degree check can catch it
+    from quotdeg import quot2
+
+    table = quot2.pair_power_pushforward_table
+    monkeypatch.setattr(
+        quot2, "pair_power_pushforward_table", lambda *args: [None] + table(*args)[:-1]
+    )
+    with pytest.raises(CrossCheckError, match="wrong degree"):
+        mu2_classes(P2, bundle(P2, (1,), (0,)))
+
+
+def test_degree2_polynomial_rejects_a_corrupted_prediction(monkeypatch):
+    from quotdeg import quot2
+
+    monkeypatch.setattr(
+        quot2, "nu_class", lambda S, E, l, k: SymClassRep(2 * nu_class(S, E, l, k).rep, l)
+    )
+    with pytest.raises(CrossCheckError, match="multinomial prediction"):
+        degree2_polynomial(P1, bundle(P1, (0,), (0,)))
 
 
 def test_diagonal_multiple_rejects_off_diagonal_class():
@@ -228,7 +243,7 @@ def test_leading_term_split():
         from math import factorial
 
         leading = Fraction(factorial(2 * p), 2 * factorial(p) ** 2) * sd**2
-        defect = integrate_sym(space, delta2_class(space, EL, 2 * d))
+        defect = integrate_sym(space, delta2_classes(space, EL)[2 * d][0])
         assert value == leading + defect
 
 
@@ -236,7 +251,7 @@ def test_prop_pushforward_integral_equals_degree():
     for space, E, n in [(P1, bundle(P1, (0,), (0,)), 2), (P2, bundle(P2, (0,),), 1)]:
         L = n * divisor_all_ones(space)
         instance = Quot2Instance(space, E, L)
-        top = mu2_class(space, twist(E, L), 2 * space.dimension)
+        top = mu2_classes(space, twist(E, L))[2 * space.dimension]
         assert integrate_sym(space, top) == degree2_formula(instance)
 
 
@@ -269,10 +284,8 @@ def test_mu2_twisting_law():
         (P2, ((1,), (-1,), (0,)), (1,)),
     ]
     for space, roots, Lvec in cases:
-        ring = ring_of(space)
-        gens = [TruncPoly.generator(ring, i) for i in range(ring.ngens)]
         E = bundle(space, *roots)
-        L = sum((c * g for c, g in zip(Lvec, gens)), TruncPoly.zero(ring))
+        L = divisor_from_vector(space, Lvec)
         r, d = E.rank, space.dimension
         mu = mu2_classes(space, E)
         mu_twisted = mu2_classes(space, twist(E, L))

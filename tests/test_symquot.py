@@ -207,6 +207,18 @@ def test_multint_needs_lp_divisors():
         multint(P1, E, 2, [hyperplane(P1, 0)], mu2_classes(P1, E))
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_multint_needs_ld_plus_one_classes(extra):
+    # a short table and a table with one class too many are both refused
+    from quotdeg.quot2 import mu2_classes
+
+    E = bundle(P1, (0,), (0,))
+    mu = mu2_classes(P1, E)
+    mu = mu[:extra] if extra < 0 else mu + mu[:extra]
+    with pytest.raises(DomainError, match=f"expected 3 pushforward classes, got {len(mu)}"):
+        multint(P1, E, 2, [hyperplane(P1, 0)] * 4, mu)
+
+
 def test_membership_zero_and_generator():
     zero = SymClassRep(TruncPoly.zero(power_ring(P2, 2)), 2)
     assert diagonal_membership(P2, 2, zero).member

@@ -10,6 +10,7 @@ from quotdeg.varieties import (
     ProjProduct,
     SplitBundle,
     block_embed,
+    bundle_power_pushforward,
     chern_total,
     diagonal_class,
     diagonal_pushforward,
@@ -20,7 +21,6 @@ from quotdeg.varieties import (
     integrate_power,
     integrate_product,
     power_ring,
-    pushforward_projbundle,
     ring_of,
     segre_class,
     segre_scheme,
@@ -36,14 +36,7 @@ P1xP1 = ProjProduct((1, 1))
 
 
 def line_bundles(space, *degree_vectors):
-    ring = ring_of(space)
-    roots = []
-    for vec in degree_vectors:
-        root = TruncPoly.zero(ring)
-        for i, c in enumerate(vec):
-            root = root + c * TruncPoly.generator(ring, i)
-        roots.append(root)
-    return SplitBundle(tuple(roots))
+    return SplitBundle(tuple(divisor_from_vector(space, vec) for vec in degree_vectors))
 
 
 def test_chern_total_examples():
@@ -126,15 +119,15 @@ def test_integrate_bundle():
 def test_pushforward_unit_and_deficit():
     X = ProjBundle(P2, line_bundles(P2, (1,), (0,), (-1,)))
     z = zeta(X)
-    assert pushforward_projbundle(X, z**2) == TruncPoly.one(ring_of(P2))
-    assert pushforward_projbundle(X, z).is_zero()
+    assert bundle_power_pushforward(X, 1, z**2) == TruncPoly.one(ring_of(P2))
+    assert bundle_power_pushforward(X, 1, z).is_zero()
 
 
 def test_pushforward_degree_one():
     X = ProjBundle(P1, line_bundles(P1, (1,), (2,)))
     z = zeta(X)
     h = TruncPoly.generator(ring_of(P1), 0)
-    assert pushforward_projbundle(X, z**2) == 3 * h
+    assert bundle_power_pushforward(X, 1, z**2) == 3 * h
 
 
 @pytest.mark.parametrize("space", [P1, P2, P3, P1xP1])
@@ -150,7 +143,7 @@ def test_pushforward_segre_lock(space):
         X = ProjBundle(space, E)
         r = E.rank
         for k in range(space.dimension + 1):
-            lhs = pushforward_projbundle(X, zeta(X) ** (r - 1 + k))
+            lhs = bundle_power_pushforward(X, 1, zeta(X) ** (r - 1 + k))
             assert lhs == Fraction(-1) ** k * segre_class(E, k)
 
 
