@@ -38,7 +38,6 @@ from .quot2 import (
     degree2_polynomial,
     degree2_projbundle,
     delta2_classes,
-    delta2_constant,
     mu2_classes,
 )
 from .symquot import (

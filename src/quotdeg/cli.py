@@ -243,7 +243,7 @@ def _cmd_leading(args) -> int:
     l = args.l if args.l is not None else data.get("l")
     if l is None:
         raise DomainError("leading needs --l (or an l field in the instance)")
-    n = 1 if args.n is None else args.n
+    n = args.n if args.n is not None else data.get("n", 1)
     value = leading_term(S, E, n * direction, l)
     _emit({"l": l, "value": str(value)})
     return 0

@@ -134,14 +134,14 @@ def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
         correction += (
             binomial(2 * d, d + m)
             * Fraction(1, 2**m)
-            * integrate_product(space, 1, powers[d - m], segre.graded_part(m))
+            * integrate_product(space, powers[d - m], segre.graded_part(m))
         )
     closed -= Fraction(2) ** (d - 1) * correction
     box_powers = _box_powers(space, divisor, d)
-    blowup = integrate_product(space, 2, box_powers[d], box_powers[d])
+    blowup = integrate_product(space, box_powers[d], box_powers[d])
     for m, e in _exceptional(space, 2 * d).items():
         if m:
-            blowup += binomial(2 * d, m) * integrate_product(space, 2, box_powers[2 * d - m], e)
+            blowup += binomial(2 * d, m) * integrate_product(space, box_powers[2 * d - m], e)
     blowup_route = Fraction(1, 2) * blowup
     if closed != blowup_route:
         raise CrossCheckError(

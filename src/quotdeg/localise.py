@@ -73,6 +73,10 @@ __all__ = [
 ]
 
 
+# generic weight draws per evaluation; they must all agree exactly
+_DRAWS = 3
+
+
 class NonGenericWeightsError(RuntimeError):
     """A tangent weight vanished; the caller should redraw."""
 
@@ -219,7 +223,7 @@ def _fixed_point_sum(a: Sequence[int], l: int, n: int, wt: WeightAssignment) -> 
 
 
 def _localised_values(
-    r: int, a: Sequence[int], l: int, ns: Sequence[int], seed: int, draws: int
+    r: int, a: Sequence[int], l: int, ns: Sequence[int], seed: int
 ) -> list[Fraction]:
     """The localised degree at each twist in `ns`.  Each draw builds its side
     tables once and evaluates every n from them; a draw is redrawn when a
@@ -229,12 +233,10 @@ def _localised_values(
         raise DomainError("need one summand degree per summand")
     if l < 0:
         raise DomainError("length must be nonnegative")
-    if draws < 1:
-        raise DomainError("need at least one draw")
     if r < 1:
         raise DomainError("need r >= 1 and l >= 0")
     per_draw = []
-    for index in range(draws):
+    for index in range(_DRAWS):
         for attempt in range(200):
             wt = _draw(seed, 7919 * index + attempt, r)
             try:
@@ -256,18 +258,16 @@ def _localised_values(
     return out
 
 
-def plucker_degree_localised(
-    r: int, a: Sequence[int], l: int, n: int, seed: int = 0, draws: int = 3
-) -> Fraction:
+def plucker_degree_localised(r: int, a: Sequence[int], l: int, n: int, seed: int = 0) -> Fraction:
     """Degree of the Pluecker embedding of the length-l Quot scheme of
     O(a_1) + ... + O(a_r) on P^1, twisted by O(n).
 
-    Evaluates the fixed-point sum at `draws` generic weight draws derived
+    Evaluates the fixed-point sum at `_DRAWS` generic weight draws derived
     deterministically from the seed; all values must agree exactly and be
     integers, otherwise the weight recipe itself is at fault and the run
     aborts.
     """
-    return _localised_values(r, a, l, [n], seed, draws)[0]
+    return _localised_values(r, a, l, [n], seed)[0]
 
 
 def degree_polynomial_localised(
@@ -277,7 +277,7 @@ def degree_polynomial_localised(
 
     Interpolated at n = 0..l (the degree is at most l on the line) and
     verified at n = l + 1."""
-    values = list(enumerate(_localised_values(r, a, l, range(l + 2), seed, 3)))
+    values = list(enumerate(_localised_values(r, a, l, range(l + 2), seed)))
     poly = poly_interpolate(values[: l + 1])
     if poly.evaluate(l + 1) != values[l + 1][1]:
         raise CrossCheckError("localised degree polynomial fails at the verification point")

@@ -62,7 +62,6 @@ __all__ = [
     "mu2_classes",
     "delta2_classes",
     "diagonal_multiple",
-    "delta2_constant",
 ]
 
 
@@ -116,7 +115,7 @@ def degree2_formula(inst: Quot2Instance) -> Fraction:
             J = J + (
                 a_coeff(r, d, k, j) * segre_EL.graded_part(d - k - j) * segre_EL.graded_part(j)
             )
-        correction += integrate_product(S, 1, segre_S.graded_part(k), J)
+        correction += integrate_product(S, segre_S.graded_part(k), J)
     return total - Fraction(2) ** (p - 1) * correction
 
 
@@ -140,9 +139,7 @@ def _fibre_integrals_closed(inst: Quot2Instance) -> list[Fraction]:
                 inner = inner + Fraction(-1) ** j * binomial(r - 1 + m - k, m - d + j) * pair
             if k > m and not inner.is_zero():
                 raise CrossCheckError("inner Segre sum failed to vanish above the fibre power")
-            value += Fraction(-1) ** (m + k) * integrate_product(
-                S, 1, segre_S.graded_part(k), inner
-            )
+            value += Fraction(-1) ** (m + k) * integrate_product(S, segre_S.graded_part(k), inner)
         out.append(value)
     return out
 
@@ -160,7 +157,7 @@ def degree2_projbundle(inst: Quot2Instance) -> Fraction:
     z = zeta(X)
     segre_X = segre_scheme(X)
     for m in range(p + 1):
-        direct = integrate_product(X, 1, z ** (p - m), segre_X.graded_part(m))
+        direct = integrate_product(X, z ** (p - m), segre_X.graded_part(m))
         if direct != closed[m]:
             raise CrossCheckError(
                 f"fibre integral I_{m} mismatch: closed {closed[m]}, direct {direct}"
@@ -179,7 +176,7 @@ def degree2_geometric(inst: Quot2Instance) -> Fraction:
     """Geometric pipeline: two-point Hilbert scheme of P(E) with the divisor
     (pullback of the twist) + relative hyperplane class."""
     X = ProjBundle(inst.S, inst.E)
-    M = pullback_to_bundle(X, 1, inst.Lc1) + zeta(X)
+    M = pullback_to_bundle(X, inst.Lc1) + zeta(X)
     return hilb2_degree(X, M)
 
 
@@ -219,10 +216,8 @@ def degree2_polynomial(
     coeffs = list(poly.coefficients) + [Fraction(0)] * (2 * d + 1 - len(poly.coefficients))
     box = boxsum(S, 2, direction)
     for j in range(d):
-        nu_j = nu_class(S, E, 2, j)
-        predicted = binomial(2 * p, 2 * d - j) * integrate_product(
-            S, 2, box ** (2 * d - j), nu_j.rep
-        ) / 2
+        integral = integrate_product(S, box ** (2 * d - j), nu_class(S, E, 2, j).rep)
+        predicted = binomial(2 * p, 2 * d - j) * integral / 2
         if coeffs[2 * d - j] != predicted:
             raise CrossCheckError(
                 f"coefficient of n^{2 * d - j} disagrees with the multinomial prediction"
@@ -248,8 +243,8 @@ def mu2_classes(S: ProjProduct, E: SplitBundle, k_max: int | None = None) -> lis
     table = pair_power_pushforward_table(X, zeta(X), 2 * (r - 1) + k_max)
     out = []
     for k in range(k_max + 1):
-        pushed = bundle_power_pushforward(X, 2, table[2 * (r - 1) + k])
-        rep = SymClassRep(pushed, 2)  # constructor asserts swap invariance
+        pushed = bundle_power_pushforward(X, table[2 * (r - 1) + k])
+        rep = SymClassRep(pushed)  # constructor asserts swap invariance
         if not rep.rep.is_zero() and rep.rep.total_degree() != k:
             raise CrossCheckError("pushforward class has the wrong degree")
         out.append(rep)
@@ -270,10 +265,10 @@ def delta2_classes(
     d = S.dimension
     out = []
     for k, mu in enumerate(mu2_classes(S, E, k_max)):
-        delta = SymClassRep(mu.rep - nu_class(S, E, 2, k).rep, 2)
+        delta = SymClassRep(mu.rep - nu_class(S, E, 2, k).rep)
         if k < d and not delta.rep.is_zero():
             raise CrossCheckError("diagonal-defect class fails to vanish below the dimension")
-        certificate = diagonal_membership(S, 2, delta)
+        certificate = diagonal_membership(S, delta)
         if not certificate.member:
             raise CrossCheckError("diagonal-defect class escapes the diagonal span")
         out.append((delta, certificate))
@@ -291,9 +286,3 @@ def diagonal_multiple(S: ProjProduct, delta: SymClassRep) -> Fraction:
     if delta.rep != c * reference:
         raise CrossCheckError("degree-d defect class is not proportional to the diagonal")
     return c
-
-
-def delta2_constant(S: ProjProduct, E: SplitBundle) -> Fraction:
-    """Constant c with (defect class in degree d) = c * (symmetrised diagonal)."""
-    d = S.dimension
-    return diagonal_multiple(S, delta2_classes(S, E, d)[d][0])

@@ -46,7 +46,6 @@ from .varieties import (
     euler_number,
     hyperplane,
     integrate,
-    integrate_power,
     integrate_product,
     power_ring,
     ring_of,
@@ -197,7 +196,7 @@ def crit_diagonal_defect_classes() -> str:
         sd = integrate(space, segre_class(EL, d))
         leading = Fraction(factorial(2 * p), 2 * factorial(p) ** 2) * sd**2
         defect_top = mu2_classes(space, EL)[2 * d].rep - nu_class(space, EL, 2, 2 * d).rep
-        assert value == leading + integrate_power(space, 2, defect_top) / 2
+        assert value == leading + integrate(space, defect_top) / 2
         combos += 1
     return f"{combos} (space, bundle) pairs"
 
@@ -296,25 +295,23 @@ def crit_engine_invariants() -> str:
     spaces = [P1, P2, P3, P1xP1, ProjBundle(P1, _bundle(P1, (0,), (1,)))]
     for space in spaces:
         diag = diagonal_class(space)
-        assert integrate_power(space, 2, diag * diag) == euler_number(space)
+        assert integrate(space, diag * diag) == euler_number(space)
         ring = ring_of(space)
         for _ in range(10):
             a, b = random_poly(ring), random_poly(ring)
-            lhs = integrate_power(
-                space, 2, diagonal_pushforward(space, a) * block_embed(space, 2, 1, b)
-            )
+            lhs = integrate(space, diagonal_pushforward(space, a) * block_embed(space, 2, 1, b))
             assert lhs == integrate(space, a * b)
         for l in (1, 2):
             for _ in range(10):
                 a, b = random_poly(power_ring(space, l)), random_poly(power_ring(space, l))
-                assert integrate_product(space, l, a, b) == integrate_power(space, l, a * b)
+                assert integrate_product(space, a, b) == integrate(space, a * b)
     # fibre-integral sign lock on an assorted bundle matrix
     for space in (P1, P2):
         for E in (_bundle(space, (1,), (0,)), _bundle(space, (2,), (-1,), (0,))):
             X = ProjBundle(space, E)
             r = E.rank
             for k in range(space.dimension + 1):
-                lhs = bundle_power_pushforward(X, 1, zeta(X) ** (r - 1 + k))
+                lhs = bundle_power_pushforward(X, zeta(X) ** (r - 1 + k))
                 assert lhs == Fraction(-1) ** k * segre_class(E, k)
     return "axioms, inverses, projection formula, Euler numbers, pairing, sign lock"
 

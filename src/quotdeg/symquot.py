@@ -37,7 +37,6 @@ from .varieties import (
     boxsum,
     diagonal_class,
     integrate,
-    integrate_power,
     integrate_product,
     power_ring,
     ring_of,
@@ -70,13 +69,13 @@ class SymClassRep:
     """
 
     rep: TruncPoly
-    l: int
+
+    @property
+    def l(self) -> int:
+        """The number of points, the block count of the representative's ring."""
+        return len(self.rep.ring.blocks)
 
     def __post_init__(self):
-        if self.l < 1:
-            raise DomainError("l must be positive")
-        if len(self.rep.ring.blocks) != self.l:
-            raise DomainError("representative ring must have l blocks")
         if not self.rep.is_homogeneous():
             raise CrossCheckError("symmetric-product representative is not homogeneous")
         for m in range(self.l - 1):
@@ -118,12 +117,12 @@ def nu_class(S: SpaceDescriptor, E: SplitBundle, l: int, k: int) -> SymClassRep:
         for p in parts:
             weight /= factorial(r - 1 + p)
         total = total + weight * term
-    return SymClassRep(Fraction(-1) ** k * total, l)
+    return SymClassRep(Fraction(-1) ** k * total)
 
 
 def integrate_sym(S: SpaceDescriptor, rep: SymClassRep) -> Fraction:
     """Integral over the symmetric product: 1/l! times the S^l integral."""
-    return integrate_power(S, rep.l, rep.rep) / factorial(rep.l)
+    return integrate(S, rep.rep) / factorial(rep.l)
 
 
 def leading_term(S: SpaceDescriptor, E: SplitBundle, Lc1: TruncPoly, l: int) -> Fraction:
@@ -203,7 +202,7 @@ def multint(
         sigma = elementary[top - k]
         if sigma.is_zero():
             continue
-        total += integrate_product(S, l, sigma, mu[k].rep)
+        total += integrate_product(S, sigma, mu[k].rep)
     return total / factorial(l)
 
 
@@ -269,16 +268,15 @@ def diagonal_span(S: SpaceDescriptor, l: int, degree: int) -> list[tuple[str, Tr
     return span
 
 
-def diagonal_membership(S: SpaceDescriptor, l: int, rep: SymClassRep) -> MembershipCertificate:
+def diagonal_membership(S: SpaceDescriptor, rep: SymClassRep) -> MembershipCertificate:
     """Decide whether rep lies in the span of symmetrised diagonal pushforwards.
 
     Returns expressing coefficients on success; otherwise a linear functional
     on monomial coefficients that kills the span but not rep.
     """
+    l = rep.l
     if l not in (2, 3):
         raise DomainError("membership is only decided for 2 or 3 points")
-    if rep.l != l:
-        raise DomainError("representative has the wrong number of blocks")
     if rep.rep.is_zero():
         return MembershipCertificate(True, (), None)
     degree = rep.rep.total_degree()
@@ -346,6 +344,8 @@ def mu_p1_coeffs(r: int, l: int, poly: DegreePolynomial) -> list[Fraction]:
     twist parameter n decomposes as
         sum_k n^{l-k} binom(lr, l-k) a_k / k!.
     """
+    if r < 1 or l < 0:
+        raise DomainError("need r >= 1 and l >= 0")
     if poly.degree > l:
         raise DomainError("degree polynomial has degree larger than l")
     coeffs = list(poly.coefficients) + [Fraction(0)] * (l + 1 - len(poly.coefficients))

@@ -61,7 +61,6 @@ __all__ = [
     "tangent_chern",
     "twist",
     "integrate",
-    "integrate_power",
     "integrate_product",
     "bundle_power_pushforward",
     "pullback_to_bundle",
@@ -222,11 +221,18 @@ def boxsum(space: SpaceDescriptor, l: int, a: TruncPoly) -> TruncPoly:
     return total
 
 
-def pullback_to_bundle(space: ProjBundle, l: int, a: TruncPoly) -> TruncPoly:
+def _power_of(space: SpaceDescriptor, a: TruncPoly, where: str) -> int:
+    """The block count l of the class's ring, which must be the ring of the
+    l-fold product of the space."""
+    l = len(a.ring.blocks)
+    if not l or a.ring != power_ring(space, l):
+        raise DomainError(f"class does not live on the {where}")
+    return l
+
+
+def pullback_to_bundle(space: ProjBundle, a: TruncPoly) -> TruncPoly:
     """Pull a class back from the l-fold base product to the l-fold bundle product."""
-    src = power_ring(space.base, l)
-    if a.ring != src:
-        raise DomainError("class does not live on the base product")
+    l = _power_of(space.base, a, "base product")
     dst = power_ring(space, l)
     items = []
     k = len(space.base.dims)
@@ -270,11 +276,11 @@ def tangent_chern(space: SpaceDescriptor) -> TruncPoly:
         for i, d in enumerate(space.dims):
             total = total * (TruncPoly.one(ring) + TruncPoly.generator(ring, i)) ** (d + 1)
         return total
-    base_part = pullback_to_bundle(space, 1, tangent_chern(space.base))
+    base_part = pullback_to_bundle(space, tangent_chern(space.base))
     z = zeta(space)
     relative = TruncPoly.one(z.ring)
     for root in space.bundle.roots:
-        relative = relative * (TruncPoly.one(z.ring) + z - pullback_to_bundle(space, 1, root))
+        relative = relative * (TruncPoly.one(z.ring) + z - pullback_to_bundle(space, root))
     return base_part * relative
 
 
@@ -295,36 +301,29 @@ def twist(E: SplitBundle, Lc1: TruncPoly) -> SplitBundle:
 
 
 def integrate(space: SpaceDescriptor, a: TruncPoly) -> Fraction:
-    """Integral over the space (coefficient of the fundamental top monomial)."""
-    return integrate_power(space, 1, a)
+    """Integral over the l-fold product of the space, l being the block
+    count of the class's ring.  On every supported ring the integral is the
+    coefficient of the one normal-form monomial of top degree: every
+    exponent at its truncation minus one, so z^{r-1} and the top base
+    monomial in every block."""
+    _power_of(space, a, "l-fold product")
+    return a.coefficient(tuple(t - 1 for t in a.ring.truncations))
 
 
-def integrate_power(space: SpaceDescriptor, l: int, a: TruncPoly) -> Fraction:
-    """Integral over the l-fold product of the space."""
-    if a.ring != power_ring(space, l):
-        raise DomainError("class does not live on the l-fold product")
-    if isinstance(space, ProjProduct):
-        top = tuple(d for _ in range(l) for d in space.dims)
-        return a.coefficient(top)
-    return integrate_power(space.base, l, bundle_power_pushforward(space, l, a))
-
-
-def integrate_product(space: SpaceDescriptor, l: int, a: TruncPoly, b: TruncPoly) -> Fraction:
+def integrate_product(space: SpaceDescriptor, a: TruncPoly, b: TruncPoly) -> Fraction:
     """Integral of a * b over the l-fold product of the space, without
-    forming the product.  On every supported ring the integral is the
-    coefficient of the one normal-form monomial of top degree (z^{r-1} and
-    the top base monomial in every block), which `top_pairing` reads off."""
-    ring = power_ring(space, l)
-    if a.ring != ring or b.ring != ring:
+    forming the product: `top_pairing` reads off the top coefficient that
+    `integrate` would read from the product."""
+    _power_of(space, a, "l-fold product")
+    if b.ring != a.ring:
         raise DomainError("class does not live on the l-fold product")
     return top_pairing(a, b)
 
 
-def bundle_power_pushforward(space: ProjBundle, l: int, a: TruncPoly) -> TruncPoly:
+def bundle_power_pushforward(space: ProjBundle, a: TruncPoly) -> TruncPoly:
     """Pushforward along (P(E) -> base)^l: the coefficient of z_m^{r-1} in
     every block, as a class on the l-fold base product."""
-    if a.ring != power_ring(space, l):
-        raise DomainError("class does not live on the l-fold bundle product")
+    l = _power_of(space, a, "l-fold bundle product")
     k = len(space.base.dims)
     r = space.bundle.rank
     width = k + 1
@@ -367,10 +366,10 @@ def diagonal_class(space: SpaceDescriptor) -> TruncPoly:
         return total
     r = space.bundle.rank
     k = len(space.base.dims)
-    base_diag = pullback_to_bundle(space, 2, diagonal_class(space.base))
+    base_diag = pullback_to_bundle(space, diagonal_class(space.base))
     z1 = TruncPoly.generator(square, k)
     z2 = TruncPoly.generator(square, k + 1 + k)
-    chern_E1 = pullback_to_bundle(space, 2, block_embed(space.base, 2, 0, chern_total(space.bundle)))
+    chern_E1 = pullback_to_bundle(space, block_embed(space.base, 2, 0, chern_total(space.bundle)))
     kernel_chern = chern_E1 * series_inverse(TruncPoly.one(square) + z1)
     fibre = TruncPoly.zero(square)
     for i in range(r):

@@ -104,6 +104,15 @@ def test_mu_p1_coeffs(capsys):
     assert json.loads(out)["a"] == ["2", "-4", "12"]
 
 
+@pytest.mark.parametrize(
+    "r, l, poly", [("0", "2", "1"), ("-1", "2", "1,2"), ("2", "-1", "1")]
+)
+def test_mu_p1_coeffs_rejects_invalid_r_and_l(capsys, r, l, poly):
+    code, out = run(capsys, ["mu-p1-coeffs", "--r", r, "--l", l, "--poly", poly])
+    assert code == 2
+    assert out == '{"error": "need r >= 1 and l >= 0"}\n'
+
+
 def test_nu(capsys):
     space = '{"type": "projective_product", "dims": [2]}'
     code, out = run(capsys, ["nu", "--space", space, "--roots", "1;1", "--l", "2", "--k", "1"])
@@ -242,12 +251,17 @@ def test_leading_l_from_file(capsys, tmp_path):
                 "bundle": {"roots": [[0], [0]]},
                 "twist": [1],
                 "l": 2,
+                "n": 3,
             }
         )
     )
     code, out = run(capsys, ["leading", "--input", str(path), "--n", "1"])
     assert code == 0
     assert json.loads(out) == {"l": 2, "value": "12"}
+    # without --n, the file's n applies
+    code, out = run(capsys, ["leading", "--input", str(path)])
+    assert code == 0
+    assert json.loads(out) == {"l": 2, "value": "108"}
 
 
 _BASE = {"type": "projective_product", "dims": [1]}

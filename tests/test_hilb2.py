@@ -11,7 +11,7 @@ from quotdeg.varieties import (
     SplitBundle,
     divisor_from_vector,
     hyperplane,
-    integrate_power,
+    integrate,
     power_ring,
     ring_of,
 )
@@ -179,4 +179,4 @@ def test_degree_equals_half_the_full_pair_pushforward_integral():
     # the blow-up route pairs top-degree monomials; this forms every product
     for space, M in _degree_matrix():
         pushed = pair_power_pushforward_table(space, M, 2 * space.dimension)[-1]
-        assert hilb2_degree(space, M) == integrate_power(space, 2, pushed) / 2
+        assert hilb2_degree(space, M) == integrate(space, pushed) / 2

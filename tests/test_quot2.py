@@ -12,7 +12,6 @@ from quotdeg.quot2 import (
     degree2_polynomial,
     degree2_projbundle,
     delta2_classes,
-    delta2_constant,
     diagonal_multiple,
     divisor_all_ones,
     mu2_classes,
@@ -136,18 +135,19 @@ def test_delta2_membership_certified():
     E = bundle(P2, (0,), (0,))
     deltas = delta2_classes(P2, E)
     for k in range(2, 5):
-        cert = diagonal_membership(P2, 2, deltas[k][0])
+        cert = diagonal_membership(P2, deltas[k][0])
         assert cert.member
 
 
 def test_delta2_constant_line():
-    assert delta2_constant(P1, bundle(P1, (0,))) == Fraction(-1, 2)
+    delta = delta2_classes(P1, bundle(P1, (0,)), 1)[1][0]
+    assert diagonal_multiple(P1, delta) == Fraction(-1, 2)
 
 
 def test_delta2_constant_scales_diagonal():
     E = bundle(P2, (1,), (0,))
-    c = delta2_constant(P2, E)
     delta = delta2_classes(P2, E)[2][0]
+    c = diagonal_multiple(P2, delta2_classes(P2, E, 2)[2][0])
     assert delta.rep == c * 2 * diagonal_class(P2)
 
 
@@ -169,27 +169,28 @@ def test_delta2_classes_match_per_degree_calls(space, roots):
     assert len(table) == 2 * space.dimension + 1
     for k, (delta, certificate) in enumerate(table):
         assert delta == delta2_classes(space, E, k)[k][0]
-        assert certificate == diagonal_membership(space, 2, delta)
+        assert certificate == diagonal_membership(space, delta)
     d = space.dimension
-    assert delta2_constant(space, E) == diagonal_multiple(space, table[d][0])
+    constant = diagonal_multiple(space, delta2_classes(space, E, d)[d][0])
+    assert constant == diagonal_multiple(space, table[d][0])
 
 
 def off_diagonal_square():
     """h1^2 + h2^2 on P2 x P2: invariant, of degree 2, not a diagonal multiple."""
     square = power_ring(P2, 2)
     h1, h2 = TruncPoly.generator(square, 0), TruncPoly.generator(square, 1)
-    return SymClassRep(h1**2 + h2**2, 2)
+    return SymClassRep(h1**2 + h2**2)
 
 
 def nu_off_diagonal_in_degree_2(S, E, l, k):
     nu = nu_class(S, E, l, k)
-    return SymClassRep(nu.rep + off_diagonal_square().rep, l) if k == 2 else nu
+    return SymClassRep(nu.rep + off_diagonal_square().rep) if k == 2 else nu
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda S, E, l, k: SymClassRep(2 * nu_class(S, E, l, k).rep, l), "fails to vanish"),
+        (lambda S, E, l, k: SymClassRep(2 * nu_class(S, E, l, k).rep), "fails to vanish"),
         (nu_off_diagonal_in_degree_2, "escapes the diagonal span"),
     ],
 )
@@ -218,14 +219,14 @@ def test_degree2_polynomial_rejects_a_corrupted_prediction(monkeypatch):
     from quotdeg import quot2
 
     monkeypatch.setattr(
-        quot2, "nu_class", lambda S, E, l, k: SymClassRep(2 * nu_class(S, E, l, k).rep, l)
+        quot2, "nu_class", lambda S, E, l, k: SymClassRep(2 * nu_class(S, E, l, k).rep)
     )
     with pytest.raises(CrossCheckError, match="multinomial prediction"):
         degree2_polynomial(P1, bundle(P1, (0,), (0,)))
 
 
 def test_diagonal_multiple_rejects_off_diagonal_class():
-    assert diagonal_multiple(P2, SymClassRep(3 * 2 * diagonal_class(P2), 2)) == 3
+    assert diagonal_multiple(P2, SymClassRep(3 * 2 * diagonal_class(P2))) == 3
     with pytest.raises(CrossCheckError, match="not proportional"):
         diagonal_multiple(P2, off_diagonal_square())
 

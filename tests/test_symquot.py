@@ -24,7 +24,7 @@ from quotdeg.varieties import (
     diagonal_class,
     diagonal_pushforward,
     hyperplane,
-    integrate_power,
+    integrate,
     power_ring,
     ring_of,
 )
@@ -91,13 +91,13 @@ def test_nu_range():
 def test_integrate_sym_examples():
     square = power_ring(P1, 2)
     h1, h2 = TruncPoly.generator(square, 0), TruncPoly.generator(square, 1)
-    assert integrate_sym(P1, SymClassRep(2 * h1 * h2, 2)) == 1
+    assert integrate_sym(P1, SymClassRep(2 * h1 * h2)) == 1
     assert integrate_sym(P1, nu_class(P1, trivial(P1, 1), 2, 0)) == 0
     cube = power_ring(P1, 3)
     top = TruncPoly.one(cube)
     for i in range(3):
         top = top * TruncPoly.generator(cube, i)
-    assert integrate_sym(P1, SymClassRep(6 * top, 3)) == 1
+    assert integrate_sym(P1, SymClassRep(6 * top)) == 1
 
 
 def test_pushforward_integration_compatibility():
@@ -118,7 +118,7 @@ def test_pushforward_integration_compatibility():
         from quotdeg.exactpoly import permute_blocks
 
         symmetrised = beta + permute_blocks(beta, (1, 0))
-        assert integrate_sym(P2, SymClassRep(symmetrised, 2)) == integrate_power(P2, 2, beta)
+        assert integrate_sym(P2, SymClassRep(symmetrised)) == integrate(P2, beta)
 
 
 def test_leading_term_values():
@@ -193,7 +193,7 @@ def test_multint_polarisation(ns):
     box = boxsum(P1, 2, h)
     sigmas = {0: Fraction(1), 1: Fraction(ns[0] + ns[1]), 2: Fraction(ns[0] * ns[1])}
     expected = sum(
-        sigmas[2 - k] * integrate_sym(P1, SymClassRep(box ** (2 - k) * reps[k].rep, 2))
+        sigmas[2 - k] * integrate_sym(P1, SymClassRep(box ** (2 - k) * reps[k].rep))
         for k in range(3)
     )
     assert value == expected
@@ -220,10 +220,10 @@ def test_multint_needs_ld_plus_one_classes(extra):
 
 
 def test_membership_zero_and_generator():
-    zero = SymClassRep(TruncPoly.zero(power_ring(P2, 2)), 2)
-    assert diagonal_membership(P2, 2, zero).member
-    gen = SymClassRep(diagonal_pushforward(P2, TruncPoly.one(ring_of(P2))), 2)
-    cert = diagonal_membership(P2, 2, gen)
+    zero = SymClassRep(TruncPoly.zero(power_ring(P2, 2)))
+    assert diagonal_membership(P2, zero).member
+    gen = SymClassRep(diagonal_pushforward(P2, TruncPoly.one(ring_of(P2))))
+    cert = diagonal_membership(P2, gen)
     assert cert.member
     assert cert.coefficients == (("1", Fraction(1, 2)),)
 
@@ -231,7 +231,7 @@ def test_membership_zero_and_generator():
 def test_membership_rejects_offspan():
     square = power_ring(P2, 2)
     h1, h2 = TruncPoly.generator(square, 0), TruncPoly.generator(square, 1)
-    cert = diagonal_membership(P2, 2, SymClassRep(h1 * h2, 2))
+    cert = diagonal_membership(P2, SymClassRep(h1 * h2))
     assert not cert.member
     assert cert.witness
     # the witness functional really separates: check it against the span
@@ -262,13 +262,13 @@ def test_membership_three_points():
 
     for sigma in itertools.permutations(range(3)):
         total = total + permute_blocks(diag12, sigma)
-    cert = diagonal_membership(P1, 3, SymClassRep(total, 3))
+    cert = diagonal_membership(P1, SymClassRep(total))
     assert cert.member
 
 
 def test_membership_guard():
     with pytest.raises(DomainError):
-        diagonal_membership(P1, 4, SymClassRep(TruncPoly.zero(power_ring(P1, 4)), 4))
+        diagonal_membership(P1, SymClassRep(TruncPoly.zero(power_ring(P1, 4))))
 
 
 def test_beauville_values():
@@ -296,13 +296,17 @@ def test_mu_p1_coeffs():
 def test_mu_p1_coeffs_guard():
     with pytest.raises(DomainError):
         mu_p1_coeffs(1, 1, DegreePolynomial((Fraction(0), Fraction(0), Fraction(1))))
+    for r, l, coeffs in ((0, 2, (1,)), (-1, 2, (1, 2)), (2, -1, (1,))):
+        poly = DegreePolynomial(tuple(Fraction(c) for c in coeffs))
+        with pytest.raises(DomainError, match="need r >= 1 and l >= 0"):
+            mu_p1_coeffs(r, l, poly)
 
 
 def test_symclassrep_rejects_asymmetric():
     square = power_ring(P2, 2)
     h1 = TruncPoly.generator(square, 0)
     with pytest.raises(CrossCheckError):
-        SymClassRep(h1, 2)
+        SymClassRep(h1)
 
 
 def test_diagonal_span_four_points_symmetric():

@@ -18,9 +18,9 @@ from quotdeg.varieties import (
     euler_number,
     hyperplane,
     integrate,
-    integrate_power,
     integrate_product,
     power_ring,
+    pullback_to_bundle,
     ring_of,
     segre_class,
     segre_scheme,
@@ -119,15 +119,15 @@ def test_integrate_bundle():
 def test_pushforward_unit_and_deficit():
     X = ProjBundle(P2, line_bundles(P2, (1,), (0,), (-1,)))
     z = zeta(X)
-    assert bundle_power_pushforward(X, 1, z**2) == TruncPoly.one(ring_of(P2))
-    assert bundle_power_pushforward(X, 1, z).is_zero()
+    assert bundle_power_pushforward(X, z**2) == TruncPoly.one(ring_of(P2))
+    assert bundle_power_pushforward(X, z).is_zero()
 
 
 def test_pushforward_degree_one():
     X = ProjBundle(P1, line_bundles(P1, (1,), (2,)))
     z = zeta(X)
     h = TruncPoly.generator(ring_of(P1), 0)
-    assert bundle_power_pushforward(X, 1, z**2) == 3 * h
+    assert bundle_power_pushforward(X, z**2) == 3 * h
 
 
 @pytest.mark.parametrize("space", [P1, P2, P3, P1xP1])
@@ -143,7 +143,7 @@ def test_pushforward_segre_lock(space):
         X = ProjBundle(space, E)
         r = E.rank
         for k in range(space.dimension + 1):
-            lhs = bundle_power_pushforward(X, 1, zeta(X) ** (r - 1 + k))
+            lhs = bundle_power_pushforward(X, zeta(X) ** (r - 1 + k))
             assert lhs == Fraction(-1) ** k * segre_class(E, k)
 
 
@@ -175,7 +175,7 @@ def test_diagonal_swap_invariant():
 def test_diagonal_self_intersection_is_euler():
     for space in (P1, P2, P3, P1xP1, ProjBundle(P1, line_bundles(P1, (0,), (1,)))):
         d = diagonal_class(space)
-        assert integrate_power(space, 2, d * d) == euler_number(space)
+        assert integrate(space, d * d) == euler_number(space)
 
 
 def test_diagonal_pushforward_examples():
@@ -191,7 +191,7 @@ def test_projection_formula_unit_case():
     h = hyperplane(P2, 0)
     pushed = diagonal_pushforward(P2, h)
     b = block_embed(P2, 2, 1, h)
-    assert integrate_power(P2, 2, pushed * b) == integrate(P2, h * h)
+    assert integrate(P2, pushed * b) == integrate(P2, h * h)
 
 
 def test_projection_formula_random():
@@ -203,7 +203,7 @@ def test_projection_formula_random():
         ring = ring_of(space)
         a = _random_class(rng, ring)
         b = _random_class(rng, ring)
-        lhs = integrate_power(space, 2, diagonal_pushforward(space, a) * block_embed(space, 2, 1, b))
+        lhs = integrate(space, diagonal_pushforward(space, a) * block_embed(space, 2, 1, b))
         rhs = integrate(space, a * b)
         assert lhs == rhs
         checked += 1
@@ -262,21 +262,21 @@ def test_integrate_product_matches_the_formed_product():
         for l in (1, 2):
             ring = power_ring(space, l)
             zero = TruncPoly.zero(ring)
-            assert integrate_product(space, l, zero, _random_terms(rng, ring, 5)) == 0
+            assert integrate_product(space, zero, _random_terms(rng, ring, 5)) == 0
             for _ in range(12):
                 a = _random_terms(rng, ring, rng.randint(1, 30))
                 b = _random_terms(rng, ring, rng.randint(1, 30))
                 if rng.random() < 0.5:
                     # a factor with full support: a product of two classes
                     b = b * _random_terms(rng, ring, rng.randint(1, 8))
-                expected = integrate_power(space, l, a * b)
-                assert integrate_product(space, l, a, b) == expected
-                assert integrate_product(space, l, b, a) == expected
+                expected = integrate(space, a * b)
+                assert integrate_product(space, a, b) == expected
+                assert integrate_product(space, b, a) == expected
                 nonzero += expected != 0
                 # one homogeneous factor pairs a single bucket pair
                 k = rng.randint(0, ring.max_degree)
                 part = a.graded_part(k)
-                assert integrate_product(space, l, part, b) == integrate_power(space, l, part * b)
+                assert integrate_product(space, part, b) == integrate(space, part * b)
     assert nonzero > 300
 
 
@@ -288,12 +288,36 @@ def test_pre_top_table_of_projective_products_is_the_top_monomial():
             assert ring._pre_top == {top: 1}
 
 
+def test_bundle_integral_is_the_base_integral_of_the_fibre_pushforward():
+    rng = random.Random(31)
+    for space in _pairing_spaces(rng):
+        if not isinstance(space, ProjBundle):
+            continue
+        for l in (1, 2):
+            for _ in range(5):
+                a = _random_terms(rng, power_ring(space, l), rng.randint(1, 30))
+                pushed = bundle_power_pushforward(space, a)
+                assert integrate(space, a) == integrate(space.base, pushed)
+
+
 def test_integrate_product_rejects_a_class_off_the_space():
     X = ProjBundle(P1, line_bundles(P1, (0,), (1,)))
     h = hyperplane(P2, 0)
     with pytest.raises(DomainError):
-        integrate_product(P2, 1, h, TruncPoly.one(power_ring(P2, 2)))
+        integrate_product(P2, h, TruncPoly.one(power_ring(P2, 2)))
     with pytest.raises(DomainError):
-        integrate_product(P2, 2, h, h)
+        integrate_product(P1, h, h)
     with pytest.raises(DomainError):
-        integrate_product(X, 1, zeta(X), hyperplane(P1, 0))
+        integrate_product(X, zeta(X), hyperplane(P1, 0))
+
+
+def test_integrals_and_fibre_maps_reject_a_class_off_the_space():
+    X = ProjBundle(P1, line_bundles(P1, (0,), (1,)))
+    with pytest.raises(DomainError):
+        integrate(P1, hyperplane(P2, 0))
+    with pytest.raises(DomainError):
+        integrate(X, hyperplane(P1, 0))
+    with pytest.raises(DomainError):
+        bundle_power_pushforward(X, hyperplane(P1, 0))
+    with pytest.raises(DomainError):
+        pullback_to_bundle(X, zeta(X))
