@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -397,6 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default=None, help="substring filter on criterion names")
     p.set_defaults(func=_cmd_selftest)
 
+    # no option is -<digit>, so -1/2 and -1/2,1 are values (argparse admits only -3, -0.5)
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -1,16 +1,17 @@
 """Exact evaluation of Jacobi polynomials and the degree-formula coefficient sums.
 
-Everything is computed over `fractions.Fraction`; Pochhammer symbols are
-plain products, no gamma functions anywhere.  The coefficient sums a_j feed
-the rank-2 degree formula and are evaluated along two independent routes
-(a direct binomial sum and a Jacobi polynomial value at zero) that must
-agree exactly.
+Integer-parameter sums accumulate integer numerators and return one exact
+`fractions.Fraction` per value; the rest runs over `Fraction`, with plain
+Pochhammer products and no gamma functions.  The coefficient sums a_j feed
+the rank-2 degree formula along two independent routes (a direct binomial
+sum and a Jacobi polynomial value at zero) that must agree exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import CrossCheckError, DomainError
 from .exactpoly import binomial
@@ -66,18 +67,26 @@ def jacobi_finite_sum(p: JacobiParams) -> Fraction:
 
     Valid for integer alpha > 0 and beta > -n - alpha - 1; outside that
     domain a DomainError is raised and callers may fall back to jacobi_hyp.
+    For integral beta (so n+alpha+beta >= 0) and v = (z-1)/2 = P/Q, it is
+    sum_m P^m Q^(n-m) C(n+alpha, m+alpha) C(n+alpha+beta+m, m) over Q^n.
     """
     a, b, n, z = p.alpha, p.beta, p.n, p.z
     if a.denominator != 1 or a <= 0:
         raise DomainError("finite sum requires integer alpha > 0")
-    if not b > -n - a - 1:
-        raise DomainError("finite sum requires beta > -n - alpha - 1")
     alpha = int(a)
-    total = Fraction(0)
-    v = (z - 1) / 2
-    for m in range(n + 1):
-        total += v**m * binomial(n + alpha, m + alpha) * binomial(n + a + b + m, m)
-    return total
+    if not b > -n - alpha - 1:
+        raise DomainError("finite sum requires beta > -n - alpha - 1")
+    if b.denominator != 1:
+        total = Fraction(0)
+        v = (z - 1) / 2
+        for m in range(n + 1):
+            total += v**m * binomial(n + alpha, m + alpha) * binomial(n + a + b + m, m)
+        return total
+    top, P, Q = n + alpha + int(b), z.numerator - z.denominator, 2 * z.denominator
+    total = sum(
+        P**m * Q ** (n - m) * comb(n + alpha, m + alpha) * comb(top + m, m) for m in range(n + 1)
+    )
+    return Fraction(total, Q**n)
 
 
 def a_coeff(r: int, d: int, k: int, j: int) -> Fraction:
@@ -90,16 +99,14 @@ def a_coeff(r: int, d: int, k: int, j: int) -> Fraction:
     if r < 1 or d < 1 or not 0 <= k <= d or not 0 <= j <= d - k:
         raise DomainError("a_coeff arguments out of range")
     p = r - 1 + d
-    direct = Fraction(0)
-    for m in range(d - j, p + 1):
-        direct += (
-            Fraction(-1, 2) ** m
-            * binomial(2 * p, p + m)
-            * binomial(r - 1 + m - k, m - d + j)
-        )
-    direct *= Fraction(-1) ** (k + j)
-    params = JacobiParams(Fraction(p + d - j), Fraction(-p - k - j), r - 1 + j, Fraction(0))
-    via_jacobi = Fraction(-1) ** (d - k) / Fraction(2) ** (d - j) * jacobi_finite_sum(params)
+    # sum_m (-1/2)^m C(2p, p+m) C(r-1+m-k, m-d+j); no comb argument is negative
+    direct = sum(
+        (-1) ** m * 2 ** (p - m) * comb(2 * p, p + m) * comb(r - 1 + m - k, m - d + j)
+        for m in range(d - j, p + 1)
+    )
+    direct = Fraction((-1) ** (k + j) * direct, 2**p)
+    value = jacobi_finite_sum(JacobiParams(p + d - j, -p - k - j, r - 1 + j, 0))
+    via_jacobi = Fraction((-1) ** (d - k) * value.numerator, value.denominator * 2 ** (d - j))
     if direct != via_jacobi:
         raise CrossCheckError(
             f"a_coeff routes disagree for r={r} d={d} k={k} j={j}: {direct} vs {via_jacobi}"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 from .errors import CrossCheckError, DomainError
 from .exactpoly import DegreePolynomial, TruncPoly, binomial, poly_interpolate
@@ -110,37 +111,46 @@ def degree2_formula(inst: Quot2Instance) -> Fraction:
     segre_S = segre_scheme(S)
     correction = Fraction(0)
     for k in range(d + 1):
-        J = TruncPoly.zero(ring_of(S))
+        s_k = segre_S.graded_part(k)
         for j in range(d - k + 1):
-            J = J + (
-                a_coeff(r, d, k, j) * segre_EL.graded_part(d - k - j) * segre_EL.graded_part(j)
-            )
-        correction += integrate_product(S, segre_S.graded_part(k), J)
+            pair = segre_EL.graded_part(d - k - j) * segre_EL.graded_part(j)
+            correction += a_coeff(r, d, k, j) * integrate_product(S, s_k, pair)
     return total - Fraction(2) ** (p - 1) * correction
 
 
 def _fibre_integrals_closed(inst: Quot2Instance) -> list[Fraction]:
-    """I_m for m = 0..p from the closed double sum in Segre classes."""
+    """I_m for m = 0..p from the closed double sum in Segre classes: an integer
+    combination of the pair integrals P[k][j] = int s_k(S) s_{d-k-j}(EL) s_j(EL)
+    for k <= m, each integrated once.  The inner class for k > m must vanish;
+    it is formed and checked as a class."""
     S, d, p, r = inst.S, inst.d, inst.p, inst.E.rank
     EL = twist(inst.E, inst.Lc1)
     segre_EL = segre_total(EL)
     segre_S = segre_scheme(S)
-    # s_{d-k-j}(EL) s_j(EL) does not depend on m, so form each once
     pairs = [
         [segre_EL.graded_part(d - k - j) * segre_EL.graded_part(j) for j in range(d - k + 1)]
         for k in range(d + 1)
     ]
+    P = [
+        [integrate_product(S, segre_S.graded_part(k), pair) for pair in row]
+        for k, row in enumerate(pairs)
+    ]
+    den = lcm(*(x.denominator for row in P for x in row))
+    P = [[x.numerator * (den // x.denominator) for x in row] for row in P]
     out = []
     for m in range(p + 1):
-        value = Fraction(0)
-        for k in range(d + 1):
+        for k in range(m + 1, d + 1):
             inner = TruncPoly.zero(ring_of(S))
             for j, pair in enumerate(pairs[k]):
                 inner = inner + Fraction(-1) ** j * binomial(r - 1 + m - k, m - d + j) * pair
-            if k > m and not inner.is_zero():
+            if not inner.is_zero():
                 raise CrossCheckError("inner Segre sum failed to vanish above the fibre power")
-            value += Fraction(-1) ** (m + k) * integrate_product(S, segre_S.graded_part(k), inner)
-        out.append(value)
+        value = sum(
+            (-1) ** (m + k + j) * comb(r - 1 + m - k, m - d + j) * P[k][j]
+            for k in range(min(m, d) + 1)
+            for j in range(max(0, d - m), d - k + 1)
+        )
+        out.append(Fraction(value, den))
     return out
 
 

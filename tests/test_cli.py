@@ -339,3 +339,34 @@ def test_shared_parser_leaks_no_state(capsys, p1_rank2):
     assert cli._parser() is parser
     assert shared == fresh
     assert json.loads(fresh[1][1]) == {"degree": "22", "pipelines_agree": True}
+
+
+def test_beauville_negative_fraction_is_a_value(capsys):
+    code, out = run(capsys, ["beauville", "--l", "3", "--c1sq", "-1/2"])
+    assert code == 0
+    assert out == '{"value": "-10935/8"}\n'
+    assert run(capsys, ["beauville", "--l", "3", "--c1sq=-1/2"]) == (0, out)
+
+
+def test_jacobi_negative_fractions_are_values(capsys):
+    argv = ["jacobi", "--alpha", "-1/3", "--beta", "-1/3", "--n", "2", "--z", "-1/3"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out == '{"value": "-25/81"}\n'
+    attached = ["jacobi", "--alpha=-1/3", "--beta=-1/3", "--n", "2", "--z=-1/3"]
+    assert run(capsys, attached) == (0, out)
+
+
+def test_mu_p1_coeffs_negative_list_is_a_value(capsys):
+    code, out = run(capsys, ["mu-p1-coeffs", "--r", "2", "--l", "2", "--poly", "-1/2,1"])
+    assert code == 0
+    assert out == '{"a": ["0", "1/4", "-1"]}\n'
+    assert run(capsys, ["mu-p1-coeffs", "--r", "2", "--l", "2", "--poly=-1/2,1"]) == (0, out)
+
+
+def test_selftest_stdout_is_byte_stable(capsys):
+    first = run(capsys, ["selftest", "--filter", "hilb2"])
+    second = run(capsys, ["selftest", "--filter", "hilb2"])
+    assert first == second
+    assert first[0] == 0
+    assert "seconds" not in first[1]

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from quotdeg.errors import DomainError
+from quotdeg import jacobi
+from quotdeg.errors import CrossCheckError, DomainError
 from quotdeg.exactpoly import binomial
 from quotdeg.jacobi import JacobiParams, a_coeff, jacobi_finite_sum, jacobi_hyp, pochhammer
 
@@ -62,3 +63,94 @@ def test_a_coeff_domain():
         a_coeff(1, 1, 2, 0)
     with pytest.raises(DomainError):
         a_coeff(1, 1, 0, 2)
+
+
+# -- Fraction reference: the loops the integer kernels replaced, kept as they were
+
+
+def reference_jacobi_finite_sum(p: JacobiParams) -> Fraction:
+    a, b, n, z = p.alpha, p.beta, p.n, p.z
+    if a.denominator != 1 or a <= 0:
+        raise DomainError("finite sum requires integer alpha > 0")
+    if not b > -n - a - 1:
+        raise DomainError("finite sum requires beta > -n - alpha - 1")
+    alpha = int(a)
+    total = Fraction(0)
+    v = (z - 1) / 2
+    for m in range(n + 1):
+        total += v**m * binomial(n + alpha, m + alpha) * binomial(n + a + b + m, m)
+    return total
+
+
+def reference_a_coeff(r: int, d: int, k: int, j: int) -> Fraction:
+    if r < 1 or d < 1 or not 0 <= k <= d or not 0 <= j <= d - k:
+        raise DomainError("a_coeff arguments out of range")
+    p = r - 1 + d
+    direct = Fraction(0)
+    for m in range(d - j, p + 1):
+        direct += (
+            Fraction(-1, 2) ** m
+            * binomial(2 * p, p + m)
+            * binomial(r - 1 + m - k, m - d + j)
+        )
+    direct *= Fraction(-1) ** (k + j)
+    params = JacobiParams(Fraction(p + d - j), Fraction(-p - k - j), r - 1 + j, Fraction(0))
+    via_jacobi = (
+        Fraction(-1) ** (d - k) / Fraction(2) ** (d - j) * reference_jacobi_finite_sum(params)
+    )
+    if direct != via_jacobi:
+        raise CrossCheckError(
+            f"a_coeff routes disagree for r={r} d={d} k={k} j={j}: {direct} vs {via_jacobi}"
+        )
+    return direct
+
+
+def a_coeff_grid():
+    return [
+        (r, d, k, j)
+        for r in range(1, 7)
+        for d in range(1, 7)
+        for k in range(d + 1)
+        for j in range(d - k + 1)
+    ]
+
+
+def test_a_coeff_matches_fraction_reference_on_grid():
+    for args in a_coeff_grid():
+        assert a_coeff(*args) == reference_a_coeff(*args), args
+
+
+def test_finite_sum_matches_fraction_reference():
+    zs = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3), Fraction(1, 3), Fraction(-5, 7)]
+    betas = [Fraction(b) for b in range(-8, 4)] + [
+        Fraction(-7, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(5, 3)
+    ]
+    checked = 0
+    for alpha in range(1, 5):
+        for n in range(6):
+            for beta in betas:
+                if not beta > -n - alpha - 1:
+                    continue
+                for z in zs:
+                    params = P(alpha, beta, n, z)
+                    assert jacobi_finite_sum(params) == reference_jacobi_finite_sum(params)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_finite_sum_integer_route_keeps_the_domain_checks():
+    for params in (P(0, 0, 1, 0), P(2, -4, 1, 0), P(Fraction(1, 2), 0, 1, 0)):
+        with pytest.raises(DomainError):
+            reference_jacobi_finite_sum(params)
+        with pytest.raises(DomainError):
+            jacobi_finite_sum(params)
+    # beta = -n - alpha is the first integral value inside the domain
+    assert jacobi_finite_sum(P(2, -3, 1, 0)) == reference_jacobi_finite_sum(P(2, -3, 1, 0))
+
+
+def test_a_coeff_route_check_fires_on_a_corrupted_jacobi_route(monkeypatch):
+    original = jacobi.jacobi_finite_sum
+    monkeypatch.setattr(jacobi, "jacobi_finite_sum", lambda params: original(params) + 1)
+    for args in [(1, 1, 1, 0), (2, 2, 0, 1), (6, 6, 3, 3)]:
+        with pytest.raises(CrossCheckError, match="a_coeff routes disagree"):
+            a_coeff(*args)

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from quotdeg import quot2
 from quotdeg.errors import CrossCheckError, DomainError
-from quotdeg.exactpoly import TruncPoly
+from quotdeg.exactpoly import TruncPoly, binomial
+from quotdeg.jacobi import a_coeff
 from quotdeg.quot2 import (
     Quot2Instance,
     degree2_all,
@@ -24,8 +26,12 @@ from quotdeg.varieties import (
     divisor_from_vector,
     hyperplane,
     integrate,
+    integrate_product,
     power_ring,
+    ring_of,
     segre_class,
+    segre_scheme,
+    segre_total,
     twist,
 )
 
@@ -270,6 +276,72 @@ def test_fibre_integrals_frozen_values():
         instance = inst(P1, E, n)
         closed = _fibre_integrals_closed(instance)
         assert closed == [2 * n, -2 * n - 2, 4]
+
+
+def reference_fibre_integrals(instance):
+    # the class-sum form of the closed I_m: one inner Segre class per (m, k)
+    S, d, p, r = instance.S, instance.d, instance.p, instance.E.rank
+    segre_EL = segre_total(twist(instance.E, instance.Lc1))
+    segre_S = segre_scheme(S)
+    out = []
+    for m in range(p + 1):
+        value = Fraction(0)
+        for k in range(d + 1):
+            inner = TruncPoly.zero(ring_of(S))
+            for j in range(d - k + 1):
+                pair = segre_EL.graded_part(d - k - j) * segre_EL.graded_part(j)
+                inner = inner + Fraction(-1) ** j * binomial(r - 1 + m - k, m - d + j) * pair
+            value += Fraction(-1) ** (m + k) * integrate_product(S, segre_S.graded_part(k), inner)
+        out.append(value)
+    return out
+
+
+def reference_formula(instance):
+    # the class-sum form of the closed formula: one J class per k
+    S, d, p, r = instance.S, instance.d, instance.p, instance.E.rank
+    segre_EL = segre_total(twist(instance.E, instance.Lc1))
+    sd = integrate(S, segre_EL.graded_part(d))
+    segre_S = segre_scheme(S)
+    correction = Fraction(0)
+    for k in range(d + 1):
+        J = TruncPoly.zero(ring_of(S))
+        for j in range(d - k + 1):
+            J = J + a_coeff(r, d, k, j) * segre_EL.graded_part(d - k - j) * segre_EL.graded_part(j)
+        correction += integrate_product(S, segre_S.graded_part(k), J)
+    return Fraction(1, 2) * binomial(2 * p, p) * sd**2 - Fraction(2) ** (p - 1) * correction
+
+
+def test_closed_routes_match_their_class_sum_form():
+    P3 = ProjProduct((3,))
+    P2xP1 = ProjProduct((2, 1))
+    cases = [
+        (P1, bundle(P1, (0,), (0,)), divisor_all_ones(P1)),
+        (P2, bundle(P2, (1,), (-1,), (0,)), 2 * divisor_all_ones(P2)),
+        (P3, bundle(P3, (1,), (2,)), divisor_all_ones(P3)),
+        (P1xP1, bundle(P1xP1, (0, 1), (2, -1)), divisor_from_vector(P1xP1, (1, 3))),
+        (P2xP1, bundle(P2xP1, (1, 0), (0, 1), (1, 1)), divisor_from_vector(P2xP1, (2, 1))),
+        # a rational twist gives pair integrals with denominators
+        (P2, bundle(P2, (1,), (0,)), Fraction(1, 2) * hyperplane(P2, 0)),
+        (P1xP1, bundle(P1xP1, (0, 0)), Fraction(1, 3) * divisor_from_vector(P1xP1, (1, 0))),
+    ]
+    for space, E, L in cases:
+        instance = Quot2Instance(space, E, L)
+        assert quot2._fibre_integrals_closed(instance) == reference_fibre_integrals(instance)
+        assert degree2_formula(instance) == reference_formula(instance)
+
+
+def test_projbundle_direct_check_fires_on_corrupted_closed_integrals(monkeypatch):
+    original = quot2._fibre_integrals_closed
+
+    def corrupted(instance):
+        values = original(instance)
+        values[1] += 1
+        return values
+
+    monkeypatch.setattr(quot2, "_fibre_integrals_closed", corrupted)
+    for space, E in [(P1, bundle(P1, (0,), (0,))), (P2, bundle(P2, (1,), (0,)))]:
+        with pytest.raises(CrossCheckError, match="fibre integral I_1 mismatch"):
+            degree2_projbundle(inst(space, E, 2))
 
 
 def test_mu2_twisting_law():
