@@ -21,15 +21,7 @@ from .exactpoly import (
 from .grassmann import catalan_degree, schubert_degree, syt_count
 from .hilb2 import blowup_power_pushforward, hilb2_degree, pair_power_pushforward_table
 from .jacobi import JacobiParams, a_coeff, jacobi_finite_sum, jacobi_hyp
-from .localise import (
-    FixedPointDatum,
-    WeightAssignment,
-    degree_polynomial_localised,
-    enumerate_fixed_points,
-    plucker_degree_localised,
-    tangent_weights,
-    taut_weight_sum,
-)
+from .localise import WeightAssignment, degree_polynomial_localised, plucker_degree_localised
 from .quot2 import (
     Quot2Instance,
     degree2_all,

@@ -48,17 +48,17 @@ def jacobi_hyp(p: JacobiParams) -> Fraction:
     """Jacobi polynomial value via the terminating hypergeometric series.
 
     P_n^(a,b)(z) = ((a+1)_n / n!) * sum_m ((-n)_m (n+a+b+1)_m / (a+1)_m) u^m / m!
-    with u = (1-z)/2.  Requires (a+1)_m nonzero for m <= n.
+    with u = (1-z)/2.  Requires (a+1)_m nonzero for m <= n.  Each term is
+    the previous one times (m-1-n)(n+a+b+m) u / ((a+m) m).
     """
     a, b, n, z = p.alpha, p.beta, p.n, p.z
     u = (1 - z) / 2
-    total = Fraction(0)
-    for m in range(n + 1):
-        denom = pochhammer(a + 1, m)
-        if denom == 0:
+    term = total = Fraction(1)
+    for m in range(1, n + 1):
+        if a + m == 0:
             raise DomainError("pole in Pochhammer denominator")
-        term = pochhammer(-n, m) * pochhammer(n + a + b + 1, m) / denom
-        total += term * u**m / pochhammer(1, m)
+        term = term * ((m - 1 - n) * (n + a + b + m) * u) / ((a + m) * m)
+        total += term
     return pochhammer(a + 1, n) / pochhammer(1, n) * total
 
 

@@ -24,27 +24,30 @@ Instead of symbolic rational functions, each sum is evaluated at several
 concrete generic integer weight draws; all draws must agree exactly and the
 common value must be an integer.
 
-`enumerate_fixed_points`, `tangent_weights` and `taut_weight_sum` state the
-recipe point by point.  The sum itself is evaluated side by side: the
-weights at 0 depend only on b and those at infinity only on c (and a), so
-each draw builds, for every length k <= l, one table of (D0(b), s0(b)) and
-one of (Dinf(c), sinf(c)) over the compositions of k into r parts, where D
-is the product of that side's tangent weights (taken over integer ranges)
-and s its share of the fibre-character sum:
+The sum is evaluated side by side: the weights at 0 depend only on b and
+those at infinity only on c (and a), so each draw builds, for every length
+k <= l, one table of (D0(b), s0(b)) and one of (Dinf(c), sinf(c)) over the
+compositions of k into r parts, where D is the product of that side's
+tangent weights (taken over integer ranges) and s its share of the
+fibre-character sum:
 
   s0(b)   = sum_j b_j e_j + w b_j (b_j - 1)/2
   sinf(c) = sum_j c_j e_j + w (c_j (a_j + n) - c_j (c_j - 1)/2).
 
-Only sinf depends on n, and linearly: it grows by n w k for c of length k.
-So the tables hold sinf at n = 0, and `degree_polynomial_localised` builds
-them once per draw and evaluates every n, the verification point included,
-from them.  A point (b, c) contributes the integer pair
-((s0 + sinf)^{lr}, D0 Dinf); the pairs are summed pairwise, in a balanced
-order that holds only O(log #points) partial sums, over common
-denominators (one gcd of the two denominators per merge) and reduced to a
-Fraction once per draw and twist.  A zero entry in either table is a zero
-tangent weight at some fixed point, since every b and c of length at most
-l occurs in one, so it rejects exactly the draws the pointwise recipe
+What does not depend on the composition is built once per draw: e_j - e_i
+for each pair i != j and its shift (a_j - a_i) w at infinity, the factors
+(-w)^m m! at 0 and w^m m! at infinity of the pair (j, j), and each
+summand's share of s0 and sinf by part size.  Each row is stored over the
+lcm L of its D, as (L, [(L / D, s)]).  Only sinf depends on n, and
+linearly: it grows by n w k for c of length k.  So the tables hold sinf at
+n = 0, and `degree_polynomial_localised` builds them once per draw and
+evaluates every n, the verification point included, from them.  For each
+length split (k at 0, l - k at infinity) the integer
+sum_b (L0 / D0) sum_c (Linf / Dinf) (s0 + sinf)^{lr} over L0 Linf is one
+Fraction, and the l + 1 of them add up to the draw's value.  A zero entry
+in either table is a zero tangent weight at some fixed point, since every b
+and c of length at most l occurs in one, so it rejects exactly the draws
+the pointwise recipe (kept in the tests as the oracle for this kernel)
 rejects; the redraws, the consensus of the draws and the integrality check
 are unchanged.
 """
@@ -54,20 +57,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, prod
+from math import factorial, lcm, prod
 from typing import Sequence
 
 from .errors import CrossCheckError, DomainError
 from .exactpoly import DegreePolynomial, compositions, poly_interpolate
 
 __all__ = [
-    "FixedPointDatum",
     "WeightAssignment",
     "NonGenericWeightsError",
-    "enumerate_fixed_points",
-    "tangent_weights",
-    "taut_weight_sum",
     "plucker_degree_localised",
     "degree_polynomial_localised",
 ]
@@ -79,26 +77,6 @@ _DRAWS = 3
 
 class NonGenericWeightsError(RuntimeError):
     """A tangent weight vanished; the caller should redraw."""
-
-
-@dataclass(frozen=True)
-class FixedPointDatum:
-    """Quotient lengths at 0 (b) and at infinity (c), one entry per summand."""
-
-    b: tuple[int, ...]
-    c: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", tuple(self.b))
-        object.__setattr__(self, "c", tuple(self.c))
-        if len(self.b) != len(self.c):
-            raise DomainError("b and c must have one entry per summand")
-        if any(x < 0 for x in self.b + self.c):
-            raise DomainError("lengths must be nonnegative")
-
-    @property
-    def length(self) -> int:
-        return sum(self.b) + sum(self.c)
 
 
 @dataclass(frozen=True)
@@ -114,45 +92,6 @@ class WeightAssignment:
             raise DomainError("the coordinate character must be nonzero")
 
 
-def enumerate_fixed_points(r: int, l: int) -> list[FixedPointDatum]:
-    """All pairs of compositions with total length l; there are
-    binom(l + 2r - 1, 2r - 1) of them."""
-    if r < 1 or l < 0:
-        raise DomainError("need r >= 1 and l >= 0")
-    return [
-        FixedPointDatum(parts[:r], parts[r:]) for parts in compositions(l, 2 * r)
-    ]
-
-
-def tangent_weights(pt: FixedPointDatum, a: Sequence[int], wt: WeightAssignment) -> list[int]:
-    """Tangent characters at a fixed point; raises if any vanishes."""
-    r = len(pt.b)
-    if len(a) != r or len(wt.e) != r:
-        raise DomainError("summand data of mismatched lengths")
-    weights = []
-    for j in range(r):
-        for k in range(pt.b[j]):
-            for i in range(r):
-                weights.append(wt.e[j] - wt.e[i] + (k - pt.b[i]) * wt.w)
-        for k in range(pt.c[j]):
-            for i in range(r):
-                weights.append(wt.e[j] - wt.e[i] + (a[j] - a[i] + pt.c[i] - k) * wt.w)
-    if any(x == 0 for x in weights):
-        raise NonGenericWeightsError("zero tangent weight")
-    return weights
-
-
-def taut_weight_sum(pt: FixedPointDatum, a: Sequence[int], n: int, wt: WeightAssignment) -> int:
-    """Sum of the fibre characters of the twisted tautological sheaf."""
-    total = 0
-    for j in range(len(pt.b)):
-        for k in range(pt.b[j]):
-            total += wt.e[j] + k * wt.w
-        for k in range(pt.c[j]):
-            total += wt.e[j] + (a[j] + n - k) * wt.w
-    return total
-
-
 def _draw(seed: int, index: int, r: int) -> WeightAssignment:
     rng = random.Random(1000003 * seed + index)
     e = tuple(rng.randrange(-(10**6), 10**6) for _ in range(r))
@@ -160,66 +99,85 @@ def _draw(seed: int, index: int, r: int) -> WeightAssignment:
     return WeightAssignment(e, w)
 
 
+# a row of a side table: (L, [(L // D, s)]), L a common multiple of the D
+_Row = tuple[int, list[tuple[int, int]]]
+
+
 def _side_tables(
     a: Sequence[int], l: int, wt: WeightAssignment
-) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
-    """(D0, s0) and (Dinf, sinf at n = 0) for every composition of every
-    k <= l, indexed by k; raises if a tangent weight vanishes.  Each
-    composition is read once as b (at 0) and once as c (at infinity).  No
-    entry depends on n except sinf, which grows by n w k in row k."""
-    e, w = wt.e, wt.w
+) -> tuple[list[_Row], list[_Row]]:
+    """Row k of each side, for every k <= l, is (L, [(L // D, s)]) over the
+    compositions of k, where L is the lcm of the row's D: (D0, s0) at 0 and
+    (Dinf, sinf at n = 0) at infinity; raises if a tangent weight vanishes.
+    Each composition is read once as b (at 0) and once as c (at infinity).
+    No entry depends on n except sinf, which grows by n w k in row k."""
+    e, w, r = wt.e, wt.w, len(a)
+    # each summand's share of s0 and of sinf, by part size
+    triangle = [m * (m - 1) // 2 for m in range(l + 1)]
+    share0 = [[m * ej + w * t for m, t in enumerate(triangle)] for ej in e]
+    share_inf = [
+        [m * ej + w * (m * aj - t) for m, t in enumerate(triangle)] for ej, aj in zip(e, a)
+    ]
+    # the pair (j, j) gives (-w)^m m! at 0 and w^m m! at infinity
+    diagonal0 = [(-w) ** m * factorial(m) for m in range(l + 1)]
+    diagonal_inf = [w**m * factorial(m) for m in range(l + 1)]
+    # the pair (j, i != j) starts from e_j - e_i, shifted by (a_j - a_i) w at infinity
+    pairs = [
+        [(i, e[j] - e[i], e[j] - e[i] + (a[j] - a[i]) * w) for i in range(r) if i != j]
+        for j in range(r)
+    ]
     zero, infinity = [], []
     for k in range(l + 1):
         zero_row, infinity_row = [], []
-        for b in compositions(k, len(a)):
+        for b in compositions(k, r):
             d0 = dinf = 1
             s0 = sinf = 0
             for j, bj in enumerate(b):
-                s0 += bj * e[j] + w * (bj * (bj - 1) // 2)
-                sinf += bj * e[j] + w * (bj * a[j] - bj * (bj - 1) // 2)
                 if bj:
-                    for i, bi in enumerate(b):
-                        at_zero = e[j] - e[i] - bi * w
+                    s0 += share0[j][bj]
+                    sinf += share_inf[j][bj]
+                    d0 *= diagonal0[bj]
+                    dinf *= diagonal_inf[bj]
+                    for i, at_zero, at_infinity in pairs[j]:
+                        at_zero -= b[i] * w
+                        at_infinity += b[i] * w
                         d0 *= prod(range(at_zero, at_zero + bj * w, w))
-                        at_infinity = e[j] - e[i] + (a[j] - a[i] + bi) * w
                         dinf *= prod(range(at_infinity, at_infinity - bj * w, -w))
             if d0 == 0 or dinf == 0:
                 raise NonGenericWeightsError("zero tangent weight")
             zero_row.append((d0, s0))
             infinity_row.append((dinf, sinf))
-        zero.append(zero_row)
-        infinity.append(infinity_row)
+        zero.append(_over_lcm(zero_row))
+        infinity.append(_over_lcm(infinity_row))
     return zero, infinity
 
 
-def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """Sum of two (numerator, denominator) pairs over the lcm of the
-    denominators; the numerator is left unreduced."""
-    (p, q), (p2, q2) = x, y
-    g = gcd(q, q2)
-    return p * (q2 // g) + p2 * (q // g), q // g * q2
+def _over_lcm(row: list[tuple[int, int]]) -> _Row:
+    """A row of (D, s) over the lcm L of its D; a one-entry row keeps its D."""
+    if len(row) == 1:
+        return row[0][0], [(1, row[0][1])]
+    denominator = lcm(*[d for d, _ in row])
+    return denominator, [(denominator // d, s) for d, s in row]
 
 
 def _table_sum(tables, r: int, l: int, n: int, w: int) -> Fraction:
-    """The fixed-point sum at twist n from the side tables of one draw."""
+    """The fixed-point sum at twist n from the side tables of one draw: an
+    integer numerator over L0_k Linf_{l-k} for each length split k."""
     zero, infinity = tables
     exponent = l * r
-    # pairwise summation: each stack entry sums `size` consecutive points,
-    # and two entries of one size merge, so operands stay balanced
-    stack = []
+    total = 0
     for k in range(l + 1):
+        (denominator0, row0), (denominator_inf, row_inf) = zero[k], infinity[l - k]
         shift = n * w * (l - k)
-        for d0, s0 in zero[k]:
-            for dinf, sinf in infinity[l - k]:
-                term, size = ((s0 + sinf + shift) ** exponent, d0 * dinf), 1
-                while stack and stack[-1][1] == size:
-                    term, size = _add(stack.pop()[0], term), 2 * size
-                stack.append((term, size))
-    return Fraction(*reduce(_add, (term for term, _ in reversed(stack))))
-
-
-def _fixed_point_sum(a: Sequence[int], l: int, n: int, wt: WeightAssignment) -> Fraction:
-    return _table_sum(_side_tables(a, l, wt), len(a), l, n, wt.w)
+        numerator = 0
+        for u, s0 in row0:
+            s0 += shift
+            inner = 0
+            for v, sinf in row_inf:
+                inner += v * (s0 + sinf) ** exponent
+            numerator += u * inner
+        total += Fraction(numerator, denominator0 * denominator_inf)
+    return total
 
 
 def _localised_values(

@@ -154,3 +154,41 @@ def test_a_coeff_route_check_fires_on_a_corrupted_jacobi_route(monkeypatch):
     for args in [(1, 1, 1, 0), (2, 2, 0, 1), (6, 6, 3, 3)]:
         with pytest.raises(CrossCheckError, match="a_coeff routes disagree"):
             a_coeff(*args)
+
+
+# -- the hypergeometric series with every Pochhammer symbol recomputed per
+# term, as it was before the running term; kept as the reference
+
+
+def reference_jacobi_hyp(p: JacobiParams) -> Fraction:
+    a, b, n, z = p.alpha, p.beta, p.n, p.z
+    u = (1 - z) / 2
+    total = Fraction(0)
+    for m in range(n + 1):
+        denom = pochhammer(a + 1, m)
+        if denom == 0:
+            raise DomainError("pole in Pochhammer denominator")
+        term = pochhammer(-n, m) * pochhammer(n + a + b + 1, m) / denom
+        total += term * u**m / pochhammer(1, m)
+    return pochhammer(a + 1, n) / pochhammer(1, n) * total
+
+
+def test_hyp_matches_per_term_pochhammer_reference():
+    params = [Fraction(x) for x in range(-4, 4)] + [Fraction(-7, 2), Fraction(-1, 3), Fraction(5, 3)]
+    zs = [Fraction(0), Fraction(1), Fraction(3), Fraction(-5, 7)]
+    checked = poles = 0
+    for alpha in params:
+        for beta in params:
+            for n in range(6):
+                for z in zs:
+                    p = P(alpha, beta, n, z)
+                    try:
+                        expected = reference_jacobi_hyp(p)
+                    except DomainError:
+                        with pytest.raises(DomainError, match="pole in Pochhammer denominator"):
+                            jacobi_hyp(p)
+                        poles += 1
+                        continue
+                    assert jacobi_hyp(p) == expected, p
+                    checked += 1
+    assert checked > 2000 and poles > 500

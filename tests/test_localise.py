@@ -1,6 +1,10 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import gcd, prod
+from typing import Sequence
 
 import pytest
 
@@ -8,15 +12,128 @@ from quotdeg import localise
 from quotdeg.errors import CrossCheckError, DomainError
 from quotdeg.exactpoly import binomial, compositions, poly_interpolate
 from quotdeg.localise import (
-    FixedPointDatum,
     NonGenericWeightsError,
     WeightAssignment,
     degree_polynomial_localised,
-    enumerate_fixed_points,
     plucker_degree_localised,
-    tangent_weights,
-    taut_weight_sum,
 )
+
+# -- the pointwise recipe: the module docstring's weights, one fixed point at
+# a time; the oracle the side-table kernel is checked against
+
+
+@dataclass(frozen=True)
+class FixedPointDatum:
+    """Quotient lengths at 0 (b) and at infinity (c), one entry per summand."""
+
+    b: tuple[int, ...]
+    c: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", tuple(self.b))
+        object.__setattr__(self, "c", tuple(self.c))
+        if len(self.b) != len(self.c):
+            raise DomainError("b and c must have one entry per summand")
+        if any(x < 0 for x in self.b + self.c):
+            raise DomainError("lengths must be nonnegative")
+
+
+def enumerate_fixed_points(r: int, l: int) -> list[FixedPointDatum]:
+    """All pairs of compositions with total length l; there are
+    binom(l + 2r - 1, 2r - 1) of them."""
+    if r < 1 or l < 0:
+        raise DomainError("need r >= 1 and l >= 0")
+    return [
+        FixedPointDatum(parts[:r], parts[r:]) for parts in compositions(l, 2 * r)
+    ]
+
+
+def tangent_weights(pt: FixedPointDatum, a: Sequence[int], wt: WeightAssignment) -> list[int]:
+    """Tangent characters at a fixed point; raises if any vanishes."""
+    r = len(pt.b)
+    if len(a) != r or len(wt.e) != r:
+        raise DomainError("summand data of mismatched lengths")
+    weights = []
+    for j in range(r):
+        for k in range(pt.b[j]):
+            for i in range(r):
+                weights.append(wt.e[j] - wt.e[i] + (k - pt.b[i]) * wt.w)
+        for k in range(pt.c[j]):
+            for i in range(r):
+                weights.append(wt.e[j] - wt.e[i] + (a[j] - a[i] + pt.c[i] - k) * wt.w)
+    if any(x == 0 for x in weights):
+        raise NonGenericWeightsError("zero tangent weight")
+    return weights
+
+
+def taut_weight_sum(pt: FixedPointDatum, a: Sequence[int], n: int, wt: WeightAssignment) -> int:
+    """Sum of the fibre characters of the twisted tautological sheaf."""
+    total = 0
+    for j in range(len(pt.b)):
+        for k in range(pt.b[j]):
+            total += wt.e[j] + k * wt.w
+        for k in range(pt.c[j]):
+            total += wt.e[j] + (a[j] + n - k) * wt.w
+    return total
+
+
+def _fixed_point_sum(a, l, n, wt):
+    """The kernel's sum for one draw at one twist."""
+    return localise._table_sum(localise._side_tables(a, l, wt), len(a), l, n, wt.w)
+
+
+# -- the side-table kernel before the common-denominator rows, kept as it was
+
+
+def reference_side_tables(
+    a: Sequence[int], l: int, wt: WeightAssignment
+) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+    e, w = wt.e, wt.w
+    zero, infinity = [], []
+    for k in range(l + 1):
+        zero_row, infinity_row = [], []
+        for b in compositions(k, len(a)):
+            d0 = dinf = 1
+            s0 = sinf = 0
+            for j, bj in enumerate(b):
+                s0 += bj * e[j] + w * (bj * (bj - 1) // 2)
+                sinf += bj * e[j] + w * (bj * a[j] - bj * (bj - 1) // 2)
+                if bj:
+                    for i, bi in enumerate(b):
+                        at_zero = e[j] - e[i] - bi * w
+                        d0 *= prod(range(at_zero, at_zero + bj * w, w))
+                        at_infinity = e[j] - e[i] + (a[j] - a[i] + bi) * w
+                        dinf *= prod(range(at_infinity, at_infinity - bj * w, -w))
+            if d0 == 0 or dinf == 0:
+                raise NonGenericWeightsError("zero tangent weight")
+            zero_row.append((d0, s0))
+            infinity_row.append((dinf, sinf))
+        zero.append(zero_row)
+        infinity.append(infinity_row)
+    return zero, infinity
+
+
+def reference_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    (p, q), (p2, q2) = x, y
+    g = gcd(q, q2)
+    return p * (q2 // g) + p2 * (q // g), q // g * q2
+
+
+def reference_table_sum(tables, r: int, l: int, n: int, w: int) -> Fraction:
+    zero, infinity = tables
+    exponent = l * r
+    # pairwise summation: each stack entry sums `size` consecutive points,
+    # and two entries of one size merge, so operands stay balanced
+    stack = []
+    for k in range(l + 1):
+        shift = n * w * (l - k)
+        for d0, s0 in zero[k]:
+            for dinf, sinf in infinity[l - k]:
+                term, size = ((s0 + sinf + shift) ** exponent, d0 * dinf), 1
+                while stack and stack[-1][1] == size:
+                    term, size = reference_add(stack.pop()[0], term), 2 * size
+                stack.append((term, size))
+    return Fraction(*reduce(reference_add, (term for term, _ in reversed(stack))))
 
 
 def test_enumerate_counts():
@@ -176,9 +293,9 @@ def _assert_kernel_matches_recipe(a, l, n, wt):
         expected = _recipe_sum(a, l, n, wt)
     except NonGenericWeightsError:
         with pytest.raises(NonGenericWeightsError):
-            localise._fixed_point_sum(a, l, n, wt)
+            _fixed_point_sum(a, l, n, wt)
         return False
-    assert localise._fixed_point_sum(a, l, n, wt) == expected
+    assert _fixed_point_sum(a, l, n, wt) == expected
     return True
 
 
@@ -269,3 +386,47 @@ def test_polynomial_matches_per_twist_degrees(monkeypatch):
             assert poly == poly_interpolate(values[: l + 1])
             assert poly.evaluate(l + 1) == values[l + 1][1]
     assert redraws > 10
+
+
+def test_kernel_matches_pre_change_kernel():
+    # each draw's value from the rows over their lcm equals the pairwise
+    # summed value of the kernel they replaced, at every twist
+    rng = random.Random(20261019)
+    outcomes = []
+    for r in (1, 2, 3, 4):
+        for l in range(6):
+            # small weights make many draws degenerate; large ones are the real draws
+            for bound in (4,) * 8 + (10**6,) * 3:
+                a = tuple(rng.randint(-2, 2) for _ in range(r))
+                e = tuple(rng.randint(-bound, bound) for _ in range(r))
+                w = rng.choice((-1, 1)) * rng.randint(1, min(bound, 10**3) - 1)
+                wt = WeightAssignment(e, w)
+                try:
+                    expected = reference_side_tables(a, l, wt)
+                except NonGenericWeightsError:
+                    with pytest.raises(NonGenericWeightsError):
+                        localise._side_tables(a, l, wt)
+                    outcomes.append((w < 0, False))
+                    continue
+                tables = localise._side_tables(a, l, wt)
+                for n in range(5):
+                    assert localise._table_sum(tables, r, l, n, w) == reference_table_sum(
+                        expected, r, l, n, w
+                    ), (a, l, n, wt)
+                outcomes.append((w < 0, True))
+    assert {(True, True), (False, True), (True, False), (False, False)} <= set(outcomes)
+
+
+def test_corrupted_row_weight_fails_the_cross_check(monkeypatch):
+    real_side_tables = localise._side_tables
+
+    def side_tables(a, l, wt):
+        zero, infinity = real_side_tables(a, l, wt)
+        denominator, row = zero[1]
+        (u, s), *rest = row
+        zero[1] = (denominator, [(u + 1, s)] + rest)
+        return zero, infinity
+
+    monkeypatch.setattr(localise, "_side_tables", side_tables)
+    with pytest.raises(CrossCheckError):
+        plucker_degree_localised(2, (1, 0), 3, 2)
