@@ -153,9 +153,7 @@ def _side_tables(
 
 
 def _over_lcm(row: list[tuple[int, int]]) -> _Row:
-    """A row of (D, s) over the lcm L of its D; a one-entry row keeps its D."""
-    if len(row) == 1:
-        return row[0][0], [(1, row[0][1])]
+    """A row of (D, s) over the lcm L of its D."""
     denominator = lcm(*[d for d, _ in row])
     return denominator, [(denominator // d, s) for d, s in row]
 
