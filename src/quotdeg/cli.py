@@ -4,6 +4,12 @@ Every command reads JSON or simple flag values, emits one JSON object (or
 CSV for sweeps) on standard output, and exits with 0 on success, 2 on
 invalid input, 3 on an internal cross-check failure.  All numeric output is
 exact rational strings; output is byte-stable for fixed inputs and seed.
+
+JSON inputs are checked against the three schemas below by a small walker
+in this module; JSON's integral floats (``2.0``) count as integers and are
+read as ints.  jsonschema is imported only when the walker rejects an input,
+to word the error exactly as ``jsonschema.validate`` words it, so a valid
+command never pays for importing it.
 """
 
 from __future__ import annotations
@@ -14,9 +20,6 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-
-import jsonschema
-from jsonschema.exceptions import best_match
 
 from .errors import CrossCheckError, DomainError, RingMismatchError
 from .exactpoly import DegreePolynomial, TruncPoly
@@ -91,19 +94,64 @@ SPACE_SCHEMA = {
 }
 
 
-# One validator per schema, built once.  The schemas are constants, so their
-# check against the metaschema is a test, not a cost paid on every command.
-_BASE_VALIDATOR = jsonschema.Draft202012Validator(BASE_SCHEMA)
-_INSTANCE_VALIDATOR = jsonschema.Draft202012Validator(INSTANCE_SCHEMA)
-_SPACE_VALIDATOR = jsonschema.Draft202012Validator(SPACE_SCHEMA)
+# the JSON types the schemas name; an integer is any integral number but a bool
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "integer": lambda x: (
+        not isinstance(x, bool) and (isinstance(x, int) or isinstance(x, float) and x.is_integer())
+    ),
+}
 
 
-def _validate(validator, data) -> None:
-    """Raise the error ``jsonschema.validate`` would raise for the validator's
-    schema: the best match among all errors, not the first one found."""
-    error = best_match(validator.iter_errors(data))
-    if error is not None:
-        raise error
+def _conforms(schema, data) -> bool:
+    """Whether `data` is valid for `schema` under Draft 2020-12, for the
+    keywords the schemas above use; any other keyword raises, so a schema
+    edit cannot go unchecked."""
+    if isinstance(schema, bool):
+        return schema
+    is_object, is_array = isinstance(data, dict), isinstance(data, list)
+    for keyword, value in schema.items():
+        if keyword == "type":
+            ok = _TYPES[value](data)
+        elif keyword == "const":  # JSON equality, which tells a bool from a number
+            ok = data == value and isinstance(data, bool) == isinstance(value, bool)
+        elif keyword == "properties":
+            ok = not is_object or all(_conforms(value[k], data[k]) for k in value if k in data)
+        elif keyword == "required":
+            ok = not is_object or all(k in data for k in value)
+        elif keyword == "additionalProperties":
+            named = schema.get("properties", {})
+            ok = not is_object or all(_conforms(value, data[k]) for k in data if k not in named)
+        elif keyword == "items":
+            ok = not is_array or all(_conforms(value, x) for x in data)
+        elif keyword == "minItems":
+            ok = not is_array or len(data) >= value
+        elif keyword == "minimum":
+            ok = isinstance(data, bool) or not isinstance(data, (int, float)) or data >= value
+        elif keyword == "oneOf":
+            ok = sum(_conforms(branch, data) for branch in value) == 1
+        else:
+            raise NotImplementedError(f"schema keyword {keyword!r} is not checked")
+        if not ok:
+            return False
+    return True
+
+
+def _validate(schema, data) -> None:
+    """Accept `data`, or raise a DomainError worded as ``jsonschema.validate``
+    words it: the best match among all errors, not the first one found."""
+    if _conforms(schema, data):
+        return
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
+    error = best_match(Draft202012Validator(schema).iter_errors(data))
+    if error is None:
+        raise CrossCheckError(
+            f"the schema walker rejects what jsonschema accepts: {json.dumps(data)}"
+        )
+    raise DomainError(str(error))
 
 
 def _load_json(text_or_path: str):
@@ -113,8 +161,18 @@ def _load_json(text_or_path: str):
         return json.load(fh)
 
 
+def _ints(values) -> list[int]:
+    """A validated integer array, its integral floats read as ints."""
+    return [int(x) for x in values]
+
+
+def _int_field(data, key, default=None):
+    """A validated integer field of an instance, or `default` if absent."""
+    return int(data[key]) if key in data else default
+
+
 def _parse_base(obj) -> ProjProduct:
-    return ProjProduct(tuple(obj["dims"]))
+    return ProjProduct(tuple(_ints(obj["dims"])))
 
 
 def _parse_bundle(space: ProjProduct, obj) -> SplitBundle:
@@ -122,17 +180,17 @@ def _parse_bundle(space: ProjProduct, obj) -> SplitBundle:
     for vec in obj["roots"]:
         if len(vec) != len(space.dims):
             raise DomainError("each root needs one coefficient per factor")
-        roots.append(divisor_from_vector(space, vec))
+        roots.append(divisor_from_vector(space, _ints(vec)))
     return SplitBundle(tuple(roots))
 
 
 def _parse_instance(data) -> tuple[ProjProduct, SplitBundle, TruncPoly]:
-    _validate(_INSTANCE_VALIDATOR, data)
+    _validate(INSTANCE_SCHEMA, data)
     S = _parse_base(data["base"])
     if "bundle" not in data:
         raise DomainError("instance needs a bundle")
     E = _parse_bundle(S, data["bundle"])
-    twist_vec = data.get("twist", [1] * len(S.dims))
+    twist_vec = _ints(data.get("twist", [1] * len(S.dims)))
     if len(twist_vec) != len(S.dims):
         raise DomainError("twist vector needs one coefficient per factor")
     direction = divisor_from_vector(S, twist_vec)
@@ -141,7 +199,7 @@ def _parse_instance(data) -> tuple[ProjProduct, SplitBundle, TruncPoly]:
 
 def _parse_space(text: str):
     data = _load_json(text)
-    _validate(_SPACE_VALIDATOR, data)
+    _validate(SPACE_SCHEMA, data)
     if "base" in data:
         S = _parse_base(data["base"])
         return ProjBundle(S, _parse_bundle(S, data["bundle"]))
@@ -189,7 +247,7 @@ def _cmd_degree2(args) -> int:
         for n, value in zip(points, values):
             print(f"{n},{value}")
         return 0
-    n = args.n if args.n is not None else data.get("n")
+    n = args.n if args.n is not None else _int_field(data, "n")
     if n is None:
         raise DomainError("degree2 needs --n, --polynomial, or --sweep")
     value = runner(Quot2Instance(S, E, n * direction))
@@ -207,7 +265,7 @@ def _cmd_hilb2(args) -> int:
 
 def _cmd_nu(args) -> int:
     data = _load_json(args.space)
-    _validate(_BASE_VALIDATOR, data)
+    _validate(BASE_SCHEMA, data)
     space = _parse_base(data)
     E = _parse_bundle(space, {"roots": _vector_list(args.roots)})
     rep = nu_class(space, E, args.l, args.k)
@@ -241,10 +299,10 @@ def _cmd_delta2(args) -> int:
 def _cmd_leading(args) -> int:
     data = _load_json(args.input)
     S, E, direction = _parse_instance(data)
-    l = args.l if args.l is not None else data.get("l")
+    l = args.l if args.l is not None else _int_field(data, "l")
     if l is None:
         raise DomainError("leading needs --l (or an l field in the instance)")
-    n = args.n if args.n is not None else data.get("n", 1)
+    n = args.n if args.n is not None else _int_field(data, "n", 1)
     value = leading_term(S, E, n * direction, l)
     _emit({"l": l, "value": str(value)})
     return 0
@@ -255,7 +313,7 @@ def _cmd_multint(args) -> int:
     S, E, _ = _parse_instance(data)
     vectors = _vector_list(args.divisors)
     divisors = [divisor_from_vector(S, v) for v in vectors]
-    l = args.l if args.l is not None else data.get("l")
+    l = args.l if args.l is not None else _int_field(data, "l")
     if l != 2:
         raise DomainError("pushforward classes are only modelled for l = 2")
     value = multint(S, E, 2, divisors, mu2_classes(S, E))
@@ -417,7 +475,6 @@ def main(argv=None) -> int:
     except (
         DomainError,
         RingMismatchError,
-        jsonschema.ValidationError,
         json.JSONDecodeError,
         FileNotFoundError,
         ValueError,

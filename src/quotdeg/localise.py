@@ -104,13 +104,14 @@ _Row = tuple[int, list[tuple[int, int]]]
 
 
 def _side_tables(
-    a: Sequence[int], l: int, wt: WeightAssignment
+    a: Sequence[int], l: int, wt: WeightAssignment, by_length: list[list[tuple[int, ...]]]
 ) -> tuple[list[_Row], list[_Row]]:
     """Row k of each side, for every k <= l, is (L, [(L // D, s)]) over the
-    compositions of k, where L is the lcm of the row's D: (D0, s0) at 0 and
-    (Dinf, sinf at n = 0) at infinity; raises if a tangent weight vanishes.
-    Each composition is read once as b (at 0) and once as c (at infinity).
-    No entry depends on n except sinf, which grows by n w k in row k."""
+    compositions of k in `by_length[k]`, where L is the lcm of the row's D:
+    (D0, s0) at 0 and (Dinf, sinf at n = 0) at infinity; raises if a tangent
+    weight vanishes.  Each composition is read once as b (at 0) and once as
+    c (at infinity).  No entry depends on n except sinf, which grows by
+    n w k in row k."""
     e, w, r = wt.e, wt.w, len(a)
     # each summand's share of s0 and of sinf, by part size
     triangle = [m * (m - 1) // 2 for m in range(l + 1)]
@@ -127,9 +128,9 @@ def _side_tables(
         for j in range(r)
     ]
     zero, infinity = [], []
-    for k in range(l + 1):
+    for row in by_length:
         zero_row, infinity_row = [], []
-        for b in compositions(k, r):
+        for b in row:
             d0 = dinf = 1
             s0 = sinf = 0
             for j, bj in enumerate(b):
@@ -191,12 +192,14 @@ def _localised_values(
         raise DomainError("length must be nonnegative")
     if r < 1:
         raise DomainError("need r >= 1 and l >= 0")
+    # the compositions of each length k <= l into r parts, shared by the draws
+    by_length = [list(compositions(k, r)) for k in range(l + 1)]
     per_draw = []
     for index in range(_DRAWS):
         for attempt in range(200):
             wt = _draw(seed, 7919 * index + attempt, r)
             try:
-                tables = _side_tables(a, l, wt)
+                tables = _side_tables(a, l, wt, by_length)
                 break
             except NonGenericWeightsError:
                 continue

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -310,19 +311,221 @@ def test_invalid_input_error_matches_jsonschema_validate(capsys, argv, data, sch
 
 
 def test_schemas_are_valid_for_their_validators():
+    # a rejection is worded by the Draft 2020-12 validator, so each schema
+    # must be a valid Draft 2020-12 schema and select that validator
+    from jsonschema import Draft202012Validator
     from jsonschema.validators import validator_for
 
     from quotdeg import cli
 
-    pairs = [
-        (cli._BASE_VALIDATOR, cli.BASE_SCHEMA),
-        (cli._INSTANCE_VALIDATOR, cli.INSTANCE_SCHEMA),
-        (cli._SPACE_VALIDATOR, cli.SPACE_SCHEMA),
+    for schema in (cli.BASE_SCHEMA, cli.INSTANCE_SCHEMA, cli.SPACE_SCHEMA):
+        assert validator_for(schema) is Draft202012Validator
+        Draft202012Validator.check_schema(schema)
+
+
+# -- the schema walker against jsonschema -------------------------------------
+
+_VALID = {
+    "BASE_SCHEMA": [_BASE, {"type": "projective_product", "dims": [2, 1]}],
+    "INSTANCE_SCHEMA": [
+        {"base": _BASE, "bundle": _BUNDLE},
+        {"base": {"type": "projective_product", "dims": [1, 2]}, "bundle": {"roots": [[1, -1]]},
+         "twist": [1, 2], "l": 2, "n": 0},
+    ],
+    "SPACE_SCHEMA": [
+        {"type": "projective_product", "dims": [1, 1]},
+        {"base": {"type": "projective_product", "dims": [2]}, "bundle": {"roots": [[0], [1]]}},
+    ],
+}
+# the command that validates each schema, its input last
+_COMMAND = {
+    "BASE_SCHEMA": ["nu", "--roots", "0;1", "--l", "2", "--k", "0", "--space"],
+    "INSTANCE_SCHEMA": ["degree2", "--n", "1", "--input"],
+    "SPACE_SCHEMA": ["hilb2", "--divisor", "1", "--space"],
+}
+_LEAVES = ("x", True, False, None, 1.5, 2.0, 0, -1)
+
+
+def _paths(doc, path=()):
+    """Every path below the root of a JSON document, with its value."""
+    if isinstance(doc, dict):
+        children = doc.items()
+    else:
+        children = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield path + (key,), value
+        yield from _paths(value, path + (key,))
+
+
+_DROP = object()
+
+
+def _edits(doc):
+    """(path, new value) pairs, each one change to `doc`; _DROP removes the key."""
+    out = [(("extra",), 1)]
+    for path, value in _paths(doc):
+        if isinstance(path[-1], str):
+            out.append((path, _DROP))
+        if isinstance(value, dict):
+            out.append((path + ("extra",), 1))
+        out += [(path, new) for new in _LEAVES + ([], {}, [value], {"x": value})]
+    return out
+
+
+def _edited(doc, path, new):
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return copy
+
+
+def _corpus(seed):
+    """Each valid document, each single edit of it, and seeded draws of two
+    or three edits on top of each other."""
+    rng = random.Random(seed)
+    for schema_name, docs in _VALID.items():
+        for doc in docs:
+            yield schema_name, doc
+            for edit in _edits(doc):
+                yield schema_name, _edited(doc, *edit)
+            for _ in range(60):
+                copy = doc
+                for _ in range(rng.randint(2, 3)):
+                    copy = _edited(copy, *rng.choice(_edits(copy)))
+                yield schema_name, copy
+
+
+def test_walker_agrees_with_jsonschema(capsys):
+    # jsonschema.validate is check_schema, then the best match among the
+    # errors of a Draft 2020-12 validator; the schemas are checked once above
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
+    from quotdeg import cli
+
+    validators = {name: Draft202012Validator(getattr(cli, name)) for name in _VALID}
+    seen = {True: 0, False: 0}
+    for schema_name, data in _corpus(20261018):
+        error = best_match(validators[schema_name].iter_errors(data))
+        accepted = cli._conforms(getattr(cli, schema_name), data)
+        assert accepted == (error is None), data
+        seen[accepted] += 1
+        if not accepted:
+            code, out = run(capsys, _COMMAND[schema_name] + [json.dumps(data)])
+            assert (code, out) == (2, json.dumps({"error": str(error)}) + "\n"), data
+    assert min(seen.values()) > 50, seen
+
+
+@pytest.mark.parametrize(
+    "schema, data",
+    [
+        # no input of the schemas above tells these apart
+        ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, 1),
+        ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -1),
+        ({"const": 1}, True),
+        ({"const": 1}, 1.0),
+        ({"minimum": 1}, False),
+        ({"additionalProperties": {"type": "integer"}}, {"a": 1, "b": "x"}),
+        ({"properties": {"a": False}}, {"a": 1}),
+    ],
+)
+def test_walker_agrees_with_jsonschema_on_general_schemas(schema, data):
+    from jsonschema import Draft202012Validator
+
+    from quotdeg import cli
+
+    assert cli._conforms(schema, data) == Draft202012Validator(schema).is_valid(data)
+
+
+def test_walker_refuses_an_unknown_keyword():
+    from quotdeg import cli
+
+    with pytest.raises(NotImplementedError, match="maxItems"):
+        cli._conforms({"type": "array", "maxItems": 1}, [])
+
+
+def test_walker_rejection_that_jsonschema_accepts_exits_3(capsys, monkeypatch, p1_rank2):
+    from quotdeg import cli
+
+    monkeypatch.setattr(cli, "_conforms", lambda schema, data: False)
+    code, out = run(capsys, ["degree2", "--input", p1_rank2, "--n", "2"])
+    assert code == 3
+    assert "jsonschema accepts" in json.loads(out)["error"]
+    assert '"roots": [[0], [0]]' in json.loads(out)["error"]
+
+
+_P1_INSTANCE = {"base": _BASE, "bundle": {"roots": [[0], [0]]}, "twist": [1], "l": 2, "n": 2}
+_P2_SPACE = {"type": "projective_product", "dims": [2]}
+_P1_BUNDLE_SPACE = {"base": _BASE, "bundle": {"roots": [[0], [1]]}}
+
+
+def _floated(doc):
+    """The document with every integer written as a JSON float."""
+    if isinstance(doc, dict):
+        return {k: _floated(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_floated(v) for v in doc]
+    return float(doc) if type(doc) is int else doc
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["degree2", "--input"], _P1_INSTANCE),
+        (["degree2", "--polynomial", "--input"], _P1_INSTANCE),
+        (["leading", "--input"], _P1_INSTANCE),
+        (["multint", "--divisors", "2;2;2;2", "--input"], _P1_INSTANCE),
+        (["mu2", "--k", "1", "--input"], _P1_INSTANCE),
+        (["delta2", "--k", "1", "--input"], _P1_INSTANCE),
+        (["hilb2", "--divisor", "3", "--space"], _BASE),
+        (["hilb2", "--divisor", "1,1", "--space"], _P1_BUNDLE_SPACE),
+        (["nu", "--roots", "1;1", "--l", "2", "--k", "1", "--space"], _P2_SPACE),
+    ],
+)
+def test_integral_floats_read_as_integers(capsys, argv, data):
+    code, out = run(capsys, argv + [json.dumps(data)])
+    assert code == 0
+    floated = json.dumps(_floated(data))
+    assert ".0" in floated
+    assert run(capsys, argv + [floated]) == (code, out)
+
+
+def test_valid_commands_do_not_import_jsonschema():
+    commands = [
+        ["degree2", "--input", json.dumps(_P1_INSTANCE), "--n", "2"],
+        ["hilb2", "--space", json.dumps(_BASE), "--divisor", "3"],
+        ["nu", "--space", json.dumps(_P2_SPACE), "--roots", "1;1", "--l", "2", "--k", "1"],
     ]
-    for validator, schema in pairs:
-        assert validator.schema is schema
-        assert type(validator) is validator_for(schema)
-        type(validator).check_schema(schema)
+    script = (
+        "import sys\nfrom quotdeg.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'jsonschema' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [json.loads(line)["degree"] for line in lines[:2]] == ["22", "4"]
+    assert lines[3] == "[0, 0, 0] False"
+    # an invalid input prints the same line as when jsonschema checked every input
+    bad = {"base": {"type": "projective_product", "dims": [0]}, "bundle": {"roots": [[True]]}}
+    result = subprocess.run(
+        [sys.executable, "-m", "quotdeg", "degree2", "--input", json.dumps(bad), "--n", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    error = (
+        "0 is less than the minimum of 1\n\n"
+        "Failed validating 'minimum' in schema['properties']['base']['properties']['dims']['items']:\n"
+        "    {'type': 'integer', 'minimum': 1}\n\n"
+        "On instance['base']['dims'][0]:\n    0"
+    )
+    assert result.stdout == json.dumps({"error": error}) + "\n"
 
 
 def test_shared_parser_leaks_no_state(capsys, p1_rank2):

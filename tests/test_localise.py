@@ -79,7 +79,12 @@ def taut_weight_sum(pt: FixedPointDatum, a: Sequence[int], n: int, wt: WeightAss
 
 def _fixed_point_sum(a, l, n, wt):
     """The kernel's sum for one draw at one twist."""
-    return localise._table_sum(localise._side_tables(a, l, wt), len(a), l, n, wt.w)
+    tables = localise._side_tables(a, l, wt, _by_length(len(a), l))
+    return localise._table_sum(tables, len(a), l, n, wt.w)
+
+
+def _by_length(r, l):
+    return [list(compositions(k, r)) for k in range(l + 1)]
 
 
 # -- the side-table kernel before the common-denominator rows, kept as it was
@@ -405,10 +410,10 @@ def test_kernel_matches_pre_change_kernel():
                     expected = reference_side_tables(a, l, wt)
                 except NonGenericWeightsError:
                     with pytest.raises(NonGenericWeightsError):
-                        localise._side_tables(a, l, wt)
+                        localise._side_tables(a, l, wt, _by_length(r, l))
                     outcomes.append((w < 0, False))
                     continue
-                tables = localise._side_tables(a, l, wt)
+                tables = localise._side_tables(a, l, wt, _by_length(r, l))
                 for n in range(5):
                     assert localise._table_sum(tables, r, l, n, w) == reference_table_sum(
                         expected, r, l, n, w
@@ -420,8 +425,8 @@ def test_kernel_matches_pre_change_kernel():
 def test_corrupted_row_weight_fails_the_cross_check(monkeypatch):
     real_side_tables = localise._side_tables
 
-    def side_tables(a, l, wt):
-        zero, infinity = real_side_tables(a, l, wt)
+    def side_tables(a, l, wt, by_length):
+        zero, infinity = real_side_tables(a, l, wt, by_length)
         denominator, row = zero[1]
         (u, s), *rest = row
         zero[1] = (denominator, [(u + 1, s)] + rest)
@@ -430,3 +435,17 @@ def test_corrupted_row_weight_fails_the_cross_check(monkeypatch):
     monkeypatch.setattr(localise, "_side_tables", side_tables)
     with pytest.raises(CrossCheckError):
         plucker_degree_localised(2, (1, 0), 3, 2)
+
+
+def test_compositions_built_once_per_call(monkeypatch):
+    # every draw and redraw reads the same lists of compositions
+    calls = []
+    real = localise.compositions
+
+    def counted(k, r):
+        calls.append((k, r))
+        return real(k, r)
+
+    monkeypatch.setattr(localise, "compositions", counted)
+    degree_polynomial_localised(3, (1, 0, -1), 4)
+    assert sorted(calls) == [(k, 3) for k in range(5)]
