@@ -155,8 +155,13 @@ def _validate(schema, data) -> None:
 
 
 def _load_json(text_or_path: str):
-    if text_or_path.strip().startswith("{"):
+    """Inline JSON or the path of a JSON file: text that starts with `{` is
+    JSON, and any other text is read as a path only if it is not JSON."""
+    try:
         return json.loads(text_or_path)
+    except json.JSONDecodeError:
+        if text_or_path.strip().startswith("{"):
+            raise
     with open(text_or_path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 

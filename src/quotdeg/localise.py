@@ -34,22 +34,28 @@ fibre-character sum:
   s0(b)   = sum_j b_j e_j + w b_j (b_j - 1)/2
   sinf(c) = sum_j c_j e_j + w (c_j (a_j + n) - c_j (c_j - 1)/2).
 
-What does not depend on the composition is built once per draw: e_j - e_i
-for each pair i != j and its shift (a_j - a_i) w at infinity, the factors
-(-w)^m m! at 0 and w^m m! at infinity of the pair (j, j), and each
-summand's share of s0 and sinf by part size.  Each row is stored over the
-lcm L of its D, as (L, [(L / D, s)]).  Only sinf depends on n, and
-linearly: it grows by n w k for c of length k.  So the tables hold sinf at
-n = 0, and `degree_polynomial_localised` builds them once per draw and
-evaluates every n, the verification point included, from them.  For each
-length split (k at 0, l - k at infinity) the integer
-sum_b (L0 / D0) sum_c (Linf / Dinf) (s0 + sinf)^{lr} over L0 Linf is one
-Fraction, and the l + 1 of them add up to the draw's value.  A zero entry
-in either table is a zero tangent weight at some fixed point, since every b
-and c of length at most l occurs in one, so it rejects exactly the draws
-the pointwise recipe (kept in the tests as the oracle for this kernel)
-rejects; the redraws, the consensus of the draws and the integrality check
-are unchanged.
+What does not depend on the composition is built once per draw: each
+summand's share of s0 and sinf by part size, and for each ordered pair
+(j, i) the running-product tables, for x + y <= l, of its factors of D,
+
+  F0_ji(x, y)   = prod_{k<y} (e_j - e_i + (k - x) w)            at 0,
+  Finf_ji(x, y) = prod_{k<y} (e_j - e_i + (a_j - a_i + x - k) w)  at infinity,
+
+read at (b_i, b_j) and (c_i, c_j) ((-w)^y y! and w^y y! when i = j).  Row k
+is stored as [(M_k / D, s)], where M_k = w^k k! prod_{i<j} prod_{x=1-k}^{k-1}
+(e_j - e_i + x w) at 0 and the same with e_j - e_i + (a_j - a_i + x) w at
+infinity.  In a D of length k each pair {i, j} gives distinct weights of
+that range, up to sign, and prod_j b_j! divides k!, so D divides M_k (a
+nonzero remainder aborts the run); each weight of the range occurs in some
+D of row k and M_k divides M_l, so M0_l Minf_l = 0 exactly when the
+pointwise recipe (kept in the tests as the oracle for this kernel) rejects
+the draw.  Only sinf depends on n, and linearly: it grows by n w k for c of
+length k.  So the tables hold sinf at n = 0, and
+`degree_polynomial_localised` builds them once per draw and evaluates every
+n, the verification point included, from them.  Each length split's integer
+sum_b (M0_k / D0) sum_c (Minf_{l-k} / Dinf) (s0 + sinf)^{lr} is scaled by
+(M0_l / M0_k)(Minf_l / Minf_{l-k}), and the draw's value is one Fraction
+over M0_l Minf_l.
 """
 
 from __future__ import annotations
@@ -57,7 +63,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from itertools import accumulate
+from math import prod
+from operator import mul
 from typing import Sequence
 
 from .errors import CrossCheckError, DomainError
@@ -99,36 +107,56 @@ def _draw(seed: int, index: int, r: int) -> WeightAssignment:
     return WeightAssignment(e, w)
 
 
-# a row of a side table: (L, [(L // D, s)]), L a common multiple of the D
-_Row = tuple[int, list[tuple[int, int]]]
+def _pair_table(delta: int, w: int, l: int) -> list[list[int]]:
+    """T[x][y] = prod_{k<y} (delta + (k - x) w) for x + y <= l, by running
+    products: T[0] along y, then T[x][y] = (delta - x w) T[x - 1][y - 1]."""
+    table = [list(accumulate(range(delta, delta + l * w, w), mul, initial=1))]
+    for x in range(1, l + 1):
+        factor = delta - x * w
+        table.append([1] + [factor * t for t in table[-1][: l - x]])
+    return table
+
+
+def _row_multiples(chars: Sequence[int], w: int, l: int) -> list[int]:
+    """M_k = w^k k! prod_{i<j} prod_{x=1-k}^{k-1} (chars_j - chars_i + x w)
+    for k <= l: a common multiple of the D of row k."""
+    deltas = [cj - ci for j, cj in enumerate(chars) for ci in chars[:j]]
+    multiples = [1, w * prod(deltas)]  # x = 0 at k = 1
+    for k in range(2, l + 1):  # then the ends x = 1 - k and x = k - 1
+        end = (k - 1) * w
+        multiples.append(multiples[-1] * k * w * prod(d * d - end * end for d in deltas))
+    return multiples[: l + 1]
 
 
 def _side_tables(
     a: Sequence[int], l: int, wt: WeightAssignment, by_length: list[list[tuple[int, ...]]]
-) -> tuple[list[_Row], list[_Row]]:
-    """Row k of each side, for every k <= l, is (L, [(L // D, s)]) over the
-    compositions of k in `by_length[k]`, where L is the lcm of the row's D:
-    (D0, s0) at 0 and (Dinf, sinf at n = 0) at infinity; raises if a tangent
-    weight vanishes.  Each composition is read once as b (at 0) and once as
-    c (at infinity).  No entry depends on n except sinf, which grows by
-    n w k in row k."""
+) -> tuple[list, list, list[int], int]:
+    """Row k of each side, for k <= l, is [(M_k // D, s)] over `by_length[k]`,
+    each composition read as b at 0 and as c at infinity (sinf at n = 0); then
+    the split scales and M0_l Minf_l.  Raises if a tangent weight vanishes."""
     e, w, r = wt.e, wt.w, len(a)
+    e_inf = [ej + aj * w for ej, aj in zip(e, a)]  # frame j's character at infinity
+    multiples0, multiples_inf = _row_multiples(e, w, l), _row_multiples(e_inf, w, l)
+    if multiples0[l] == 0 or multiples_inf[l] == 0:
+        raise NonGenericWeightsError("zero tangent weight")
     # each summand's share of s0 and of sinf, by part size
     triangle = [m * (m - 1) // 2 for m in range(l + 1)]
     share0 = [[m * ej + w * t for m, t in enumerate(triangle)] for ej in e]
-    share_inf = [
-        [m * ej + w * (m * aj - t) for m, t in enumerate(triangle)] for ej, aj in zip(e, a)
-    ]
+    share_inf = [[m * ej - w * t for m, t in enumerate(triangle)] for ej in e_inf]
     # the pair (j, j) gives (-w)^m m! at 0 and w^m m! at infinity
-    diagonal0 = [(-w) ** m * factorial(m) for m in range(l + 1)]
-    diagonal_inf = [w**m * factorial(m) for m in range(l + 1)]
-    # the pair (j, i != j) starts from e_j - e_i, shifted by (a_j - a_i) w at infinity
+    diagonal0 = list(accumulate(range(-w, -(l + 1) * w, -w), mul, initial=1))
+    diagonal_inf = list(accumulate(range(w, (l + 1) * w, w), mul, initial=1))
+    # the pair (j, i != j): F0_ji at 0 and Finf_ji at infinity, read at [b_i][b_j]
     pairs = [
-        [(i, e[j] - e[i], e[j] - e[i] + (a[j] - a[i]) * w) for i in range(r) if i != j]
+        [
+            (i, _pair_table(e[j] - e[i], w, l), _pair_table(e_inf[j] - e_inf[i], -w, l))
+            for i in range(r)
+            if i != j
+        ]
         for j in range(r)
     ]
     zero, infinity = [], []
-    for row in by_length:
+    for row, m0, minf in zip(by_length, multiples0, multiples_inf):
         zero_row, infinity_row = [], []
         for b in row:
             d0 = dinf = 1
@@ -139,44 +167,39 @@ def _side_tables(
                     sinf += share_inf[j][bj]
                     d0 *= diagonal0[bj]
                     dinf *= diagonal_inf[bj]
-                    for i, at_zero, at_infinity in pairs[j]:
-                        at_zero -= b[i] * w
-                        at_infinity += b[i] * w
-                        d0 *= prod(range(at_zero, at_zero + bj * w, w))
-                        dinf *= prod(range(at_infinity, at_infinity - bj * w, -w))
-            if d0 == 0 or dinf == 0:
-                raise NonGenericWeightsError("zero tangent weight")
-            zero_row.append((d0, s0))
-            infinity_row.append((dinf, sinf))
-        zero.append(_over_lcm(zero_row))
-        infinity.append(_over_lcm(infinity_row))
-    return zero, infinity
-
-
-def _over_lcm(row: list[tuple[int, int]]) -> _Row:
-    """A row of (D, s) over the lcm L of its D."""
-    denominator = lcm(*[d for d, _ in row])
-    return denominator, [(denominator // d, s) for d, s in row]
+                    for i, table0, table_inf in pairs[j]:
+                        d0 *= table0[b[i]][bj]
+                        dinf *= table_inf[b[i]][bj]
+            u, remainder0 = divmod(m0, d0)
+            v, remainder_inf = divmod(minf, dinf)
+            if remainder0 or remainder_inf:
+                raise CrossCheckError("a tangent-weight product does not divide its row multiple")
+            zero_row.append((u, s0))
+            infinity_row.append((v, sinf))
+        zero.append(zero_row)
+        infinity.append(infinity_row)
+    top0, top_inf = multiples0[l], multiples_inf[l]
+    scales = [top0 // m0 * (top_inf // minf) for m0, minf in zip(multiples0, multiples_inf[::-1])]
+    return zero, infinity, scales, top0 * top_inf
 
 
 def _table_sum(tables, r: int, l: int, n: int, w: int) -> Fraction:
-    """The fixed-point sum at twist n from the side tables of one draw: an
-    integer numerator over L0_k Linf_{l-k} for each length split k."""
-    zero, infinity = tables
+    """The fixed-point sum at twist n from the side tables of one draw: each
+    length split's integer numerator, scaled, over M0_l Minf_l."""
+    zero, infinity, scales, denominator = tables
     exponent = l * r
     total = 0
-    for k in range(l + 1):
-        (denominator0, row0), (denominator_inf, row_inf) = zero[k], infinity[l - k]
+    for k, scale in enumerate(scales):
         shift = n * w * (l - k)
         numerator = 0
-        for u, s0 in row0:
+        for u, s0 in zero[k]:
             s0 += shift
             inner = 0
-            for v, sinf in row_inf:
+            for v, sinf in infinity[l - k]:
                 inner += v * (s0 + sinf) ** exponent
             numerator += u * inner
-        total += Fraction(numerator, denominator0 * denominator_inf)
-    return total
+        total += scale * numerator
+    return Fraction(total, denominator)
 
 
 def _localised_values(

@@ -296,6 +296,12 @@ _BUNDLE = {"roots": [[0], [1]]}
          {"type": "projective_line", "dims": [1]}, "BASE_SCHEMA"),
         (["nu", "--roots", "0;1", "--l", "2", "--k", "0", "--space"],
          {"type": "projective_product", "dims": []}, "BASE_SCHEMA"),
+        # inline JSON that is not an object is read as JSON, not as a path
+        (["degree2", "--n", "1", "--input"], [1], "INSTANCE_SCHEMA"),
+        (["degree2", "--n", "1", "--input"], None, "INSTANCE_SCHEMA"),
+        (["hilb2", "--divisor", "1", "--space"], [1], "SPACE_SCHEMA"),
+        (["hilb2", "--divisor", "1", "--space"], "inst.json", "SPACE_SCHEMA"),
+        (["nu", "--roots", "0;1", "--l", "2", "--k", "0", "--space"], 1, "BASE_SCHEMA"),
     ],
 )
 def test_invalid_input_error_matches_jsonschema_validate(capsys, argv, data, schema_name):
@@ -573,3 +579,27 @@ def test_selftest_stdout_is_byte_stable(capsys):
     assert first == second
     assert first[0] == 0
     assert "seconds" not in first[1]
+
+
+def test_input_and_space_read_a_path(capsys, tmp_path, monkeypatch):
+    # a path is read as a file whatever its first character
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tests").mkdir()
+    instance = {"base": _BASE, "bundle": {"roots": [[0], [0]]}, "twist": [1]}
+    for name in ("tests/x.json", "notes.json"):
+        (tmp_path / name).write_text(json.dumps(instance))
+        assert run(capsys, ["degree2", "--input", name, "--n", "2"]) == (
+            0,
+            '{"degree": "22", "pipelines_agree": true}\n',
+        )
+        (tmp_path / name).write_text(json.dumps({"type": "projective_product", "dims": [2]}))
+        inline = run(capsys, ["hilb2", "--divisor", "2", "--space", '{"type":"projective_product","dims":[2]}'])
+        assert run(capsys, ["hilb2", "--divisor", "2", "--space", name]) == inline
+        assert inline[0] == 0
+
+
+def test_missing_file_and_broken_inline_json_are_errors(capsys, tmp_path):
+    code, out = run(capsys, ["degree2", "--input", str(tmp_path / "absent.json"), "--n", "1"])
+    assert code == 2 and "No such file or directory" in json.loads(out)["error"]
+    code, out = run(capsys, ["degree2", "--input", '{"base": ', "--n", "1"])
+    assert code == 2 and "Expecting value" in json.loads(out)["error"]

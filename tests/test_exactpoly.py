@@ -134,6 +134,14 @@ def test_binomial_values():
                 assert type(got) is Fraction and got == want, (upper, k)
 
 
+def test_binomial_vanishes_for_a_negative_lower_index():
+    # the closed fibre integrals drop their terms with k > m on this convention
+    for upper in (0, 1, 7, -1, -6, Fraction(3), Fraction(-4), Fraction(1, 2), Fraction(-5, 3)):
+        for k in range(-5, 0):
+            got = binomial(upper, k)
+            assert type(got) is Fraction and got == 0, (upper, k)
+
+
 def test_compositions():
     assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert len(list(compositions(5, 3))) == binomial(7, 2)

@@ -2,8 +2,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, prod
+from math import prod
 from typing import Sequence
 
 import pytest
@@ -77,68 +76,14 @@ def taut_weight_sum(pt: FixedPointDatum, a: Sequence[int], n: int, wt: WeightAss
     return total
 
 
-def _fixed_point_sum(a, l, n, wt):
-    """The kernel's sum for one draw at one twist."""
+def _fixed_point_sums(a, l, ns, wt):
+    """The kernel's sums for one draw at each twist in `ns`."""
     tables = localise._side_tables(a, l, wt, _by_length(len(a), l))
-    return localise._table_sum(tables, len(a), l, n, wt.w)
+    return [localise._table_sum(tables, len(a), l, n, wt.w) for n in ns]
 
 
 def _by_length(r, l):
     return [list(compositions(k, r)) for k in range(l + 1)]
-
-
-# -- the side-table kernel before the common-denominator rows, kept as it was
-
-
-def reference_side_tables(
-    a: Sequence[int], l: int, wt: WeightAssignment
-) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
-    e, w = wt.e, wt.w
-    zero, infinity = [], []
-    for k in range(l + 1):
-        zero_row, infinity_row = [], []
-        for b in compositions(k, len(a)):
-            d0 = dinf = 1
-            s0 = sinf = 0
-            for j, bj in enumerate(b):
-                s0 += bj * e[j] + w * (bj * (bj - 1) // 2)
-                sinf += bj * e[j] + w * (bj * a[j] - bj * (bj - 1) // 2)
-                if bj:
-                    for i, bi in enumerate(b):
-                        at_zero = e[j] - e[i] - bi * w
-                        d0 *= prod(range(at_zero, at_zero + bj * w, w))
-                        at_infinity = e[j] - e[i] + (a[j] - a[i] + bi) * w
-                        dinf *= prod(range(at_infinity, at_infinity - bj * w, -w))
-            if d0 == 0 or dinf == 0:
-                raise NonGenericWeightsError("zero tangent weight")
-            zero_row.append((d0, s0))
-            infinity_row.append((dinf, sinf))
-        zero.append(zero_row)
-        infinity.append(infinity_row)
-    return zero, infinity
-
-
-def reference_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    (p, q), (p2, q2) = x, y
-    g = gcd(q, q2)
-    return p * (q2 // g) + p2 * (q // g), q // g * q2
-
-
-def reference_table_sum(tables, r: int, l: int, n: int, w: int) -> Fraction:
-    zero, infinity = tables
-    exponent = l * r
-    # pairwise summation: each stack entry sums `size` consecutive points,
-    # and two entries of one size merge, so operands stay balanced
-    stack = []
-    for k in range(l + 1):
-        shift = n * w * (l - k)
-        for d0, s0 in zero[k]:
-            for dinf, sinf in infinity[l - k]:
-                term, size = ((s0 + sinf + shift) ** exponent, d0 * dinf), 1
-                while stack and stack[-1][1] == size:
-                    term, size = reference_add(stack.pop()[0], term), 2 * size
-                stack.append((term, size))
-    return Fraction(*reduce(reference_add, (term for term, _ in reversed(stack))))
 
 
 def test_enumerate_counts():
@@ -281,41 +226,41 @@ def test_four_points_on_line_is_fourth_power():
     assert list(degree_polynomial_localised(1, (0,), 4)) == [81, -108, 54, -12, 1]
 
 
-def _recipe_sum(a, l, n, wt):
-    """The fixed-point sum point by point, straight from the public recipe."""
+def _recipe_sums(a, l, ns, wt):
+    """The fixed-point sum point by point, straight from the public recipe,
+    at each twist in `ns`."""
     r = len(a)
-    total = Fraction(0)
+    totals = [Fraction(0)] * len(ns)
     for pt in enumerate_fixed_points(r, l):
-        denominator = 1
-        for x in tangent_weights(pt, a, wt):
-            denominator *= x
-        total += Fraction(taut_weight_sum(pt, a, n, wt) ** (l * r), denominator)
-    return total
+        denominator = prod(tangent_weights(pt, a, wt))
+        for index, n in enumerate(ns):
+            totals[index] += Fraction(taut_weight_sum(pt, a, n, wt) ** (l * r), denominator)
+    return totals
 
 
-def _assert_kernel_matches_recipe(a, l, n, wt):
+def _assert_kernel_matches_recipe(a, l, ns, wt):
     try:
-        expected = _recipe_sum(a, l, n, wt)
+        expected = _recipe_sums(a, l, ns, wt)
     except NonGenericWeightsError:
         with pytest.raises(NonGenericWeightsError):
-            _fixed_point_sum(a, l, n, wt)
+            _fixed_point_sums(a, l, ns, wt)
         return False
-    assert _fixed_point_sum(a, l, n, wt) == expected
+    assert _fixed_point_sums(a, l, ns, wt) == expected, (a, l, wt)
     return True
 
 
 def test_kernel_matches_pointwise_recipe():
     rng = random.Random(20261018)
     outcomes = []
-    for r in (1, 2, 3):
-        for l in range(5):
+    for r in (1, 2, 3, 4):
+        for l in range(6):
             # small weights make many draws degenerate; large ones are the real draws
             for bound in (4,) * 12 + (10**6,) * 2:
                 a = tuple(rng.randint(-2, 2) for _ in range(r))
-                n = rng.randint(0, 4)
                 e = tuple(rng.randint(-bound, bound) for _ in range(r))
                 w = rng.choice((-1, 1)) * rng.randint(1, min(bound, 10**3) - 1)
-                outcomes.append((w < 0, _assert_kernel_matches_recipe(a, l, n, WeightAssignment(e, w))))
+                wt = WeightAssignment(e, w)
+                outcomes.append((w < 0, _assert_kernel_matches_recipe(a, l, range(5), wt)))
     assert {(True, True), (False, True), (True, False), (False, False)} <= set(outcomes)
 
 
@@ -328,7 +273,7 @@ def test_kernel_rejects_a_draw_degenerate_only_at_infinity():
             tangent_weights(FixedPointDatum(b, zeros), a, wt)  # the side at 0 is generic
     with pytest.raises(NonGenericWeightsError):
         tangent_weights(FixedPointDatum(zeros, (1, 0)), a, wt)
-    assert not _assert_kernel_matches_recipe(a, l, n, wt)
+    assert not _assert_kernel_matches_recipe(a, l, [n], wt)
 
 
 def test_degenerate_first_attempts_are_redrawn(monkeypatch):
@@ -393,48 +338,68 @@ def test_polynomial_matches_per_twist_degrees(monkeypatch):
     assert redraws > 10
 
 
-def test_kernel_matches_pre_change_kernel():
-    # each draw's value from the rows over their lcm equals the pairwise
-    # summed value of the kernel they replaced, at every twist
-    rng = random.Random(20261019)
-    outcomes = []
-    for r in (1, 2, 3, 4):
-        for l in range(6):
-            # small weights make many draws degenerate; large ones are the real draws
-            for bound in (4,) * 8 + (10**6,) * 3:
-                a = tuple(rng.randint(-2, 2) for _ in range(r))
-                e = tuple(rng.randint(-bound, bound) for _ in range(r))
-                w = rng.choice((-1, 1)) * rng.randint(1, min(bound, 10**3) - 1)
-                wt = WeightAssignment(e, w)
-                try:
-                    expected = reference_side_tables(a, l, wt)
-                except NonGenericWeightsError:
-                    with pytest.raises(NonGenericWeightsError):
-                        localise._side_tables(a, l, wt, _by_length(r, l))
-                    outcomes.append((w < 0, False))
-                    continue
-                tables = localise._side_tables(a, l, wt, _by_length(r, l))
-                for n in range(5):
-                    assert localise._table_sum(tables, r, l, n, w) == reference_table_sum(
-                        expected, r, l, n, w
-                    ), (a, l, n, wt)
-                outcomes.append((w < 0, True))
-    assert {(True, True), (False, True), (True, False), (False, False)} <= set(outcomes)
-
-
 def test_corrupted_row_weight_fails_the_cross_check(monkeypatch):
     real_side_tables = localise._side_tables
 
     def side_tables(a, l, wt, by_length):
-        zero, infinity = real_side_tables(a, l, wt, by_length)
-        denominator, row = zero[1]
-        (u, s), *rest = row
-        zero[1] = (denominator, [(u + 1, s)] + rest)
-        return zero, infinity
+        zero, infinity, scales, denominator = real_side_tables(a, l, wt, by_length)
+        (u, s), *rest = zero[1]
+        zero[1] = [(u + 1, s)] + rest
+        return zero, infinity, scales, denominator
 
     monkeypatch.setattr(localise, "_side_tables", side_tables)
     with pytest.raises(CrossCheckError):
         plucker_degree_localised(2, (1, 0), 3, 2)
+
+
+def _side_products(pt, a, wt):
+    """The product of the tangent weights at a fixed point, zero allowed."""
+    try:
+        return prod(tangent_weights(pt, a, wt))
+    except NonGenericWeightsError:
+        return 0
+
+
+def test_row_multiples_are_multiples_of_their_rows():
+    # every D of row k divides M_k, and M_k = 0 exactly when some D of row k is 0
+    rng = random.Random(20261020)
+    zeros = set()
+    for r in (1, 2, 3, 4):
+        for l in range(6):
+            for bound in (3,) * 6 + (10**6,) * 2:
+                a = tuple(rng.randint(-2, 2) for _ in range(r))
+                e = tuple(rng.randint(-bound, bound) for _ in range(r))
+                w = rng.choice((-1, 1)) * rng.randint(1, min(bound, 10**3) - 1)
+                wt = WeightAssignment(e, w)
+                e_inf = [ej + aj * w for ej, aj in zip(e, a)]
+                for chars, at_zero in ((e, True), (e_inf, False)):
+                    multiples = localise._row_multiples(chars, w, l)
+                    for k in range(l + 1):
+                        empty = (0,) * r
+                        points = [(b, empty) if at_zero else (empty, b) for b in compositions(k, r)]
+                        products = [_side_products(FixedPointDatum(*pt), a, wt) for pt in points]
+                        assert (multiples[k] == 0) == (0 in products), (a, wt, k)
+                        zeros.add(multiples[k] == 0)
+                        if multiples[k]:
+                            assert all(multiples[k] % d == 0 for d in products), (a, wt, k)
+    assert zeros == {True, False}
+
+
+def test_row_multiple_missing_a_factor_fails_the_cross_check(monkeypatch):
+    # dropping the weight e_1 - e_0 + (k - 1) w from M_k leaves a D of row k,
+    # that of b = (0, k), that no longer divides it
+    real_row_multiples = localise._row_multiples
+    for r, l in ((2, 3), (3, 4), (4, 2)):
+        for k in range(1, l + 1):
+
+            def row_multiples(chars, w, l, k=k):
+                multiples = real_row_multiples(chars, w, l)
+                multiples[k] //= chars[1] - chars[0] + (k - 1) * w
+                return multiples
+
+            monkeypatch.setattr(localise, "_row_multiples", row_multiples)
+            with pytest.raises(CrossCheckError, match="does not divide"):
+                plucker_degree_localised(r, (1,) + (0,) * (r - 1), l, 2)
 
 
 def test_compositions_built_once_per_call(monkeypatch):
