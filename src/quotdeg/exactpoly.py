@@ -45,11 +45,26 @@ by total degree, with `int` numerators over one common denominator:
   product of projective spaces has the table {top: 1}.  The pairing then
   visits only the bucket pairs (k, max_degree - k); for each monomial m of
   the smaller bucket and each entry p, it looks up p - m in the other
-  bucket.  That one subtraction is exact: each field difference is at most
-  2(t_i - 1) < 2^{w_i} in size, and fields sit w_i + 1 bits apart, so
-  distinct signed field vectors pack to distinct ints, and p - m equals a
-  normal-form key only when no field of m exceeds p's.  The result is one
-  `Fraction` over the product of the two denominators.
+  bucket, skipping the entries that cannot pair with m: p - m is a normal
+  form only if each related exponent of p exceeds m's by at most r - 1, so
+  the entries are kept per packed related exponents of m
+  (`RingDescriptor._pre_top_by_related`).  That one subtraction is exact:
+  each field difference is at most 2(t_i - 1) < 2^{w_i} in size, and fields
+  sit w_i + 1 bits apart, so distinct signed field vectors pack to distinct
+  ints, and p - m equals a normal-form key only when no field of m exceeds
+  p's.  The result is one `Fraction` over the product of the two
+  denominators.
+* Block products.  Each block of a power ring repeats the field layout of
+  its one-block factor ring at a fixed offset (`RingDescriptor._block_offsets`
+  checks that once per pair of rings), and every relation involves only its
+  own block.  So a normal-form monomial of the factor ring placed in block m
+  is one shift, and a product of factors in distinct blocks
+  (`block_products`) is a normal form already: the fields are disjoint, no
+  exponent grows, and no relation mixes blocks, so no kernel product and no
+  rewrite is needed, and distinct term tuples never collide.  Moving a
+  class between rings whose blocks share a layout (`map_blocks`, the bundle
+  pullback and pushforward) is likewise one mask and shift per run of
+  adjacent fields (`move_fields`).
 * Coefficients.  Numerators are ints over one positive denominator, and the
   pair (denominator, numerators) is kept reduced, so two equal polynomials
   have identical storage.  Relation coefficients are integers (Chern classes
@@ -70,8 +85,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import comb, factorial, gcd, lcm
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from math import comb, factorial, gcd, lcm, prod
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, RingMismatchError
 
@@ -84,6 +99,8 @@ __all__ = [
     "TruncPoly",
     "series_inverse",
     "top_pairing",
+    "block_products",
+    "move_fields",
     "permute_blocks",
     "map_blocks",
     "binomial",
@@ -243,6 +260,25 @@ class RingDescriptor:
                     table[mono] = bucket[top]
         return table
 
+    @cached_property
+    def _pre_top_by_related(self) -> tuple[int, dict[int, list]]:
+        """The mask of the related fields, and for each packed value of them
+        in a normal form m, the pre-top entries p whose related exponents
+        are each at most m's plus r - 1, the only ones with p - m normal."""
+        rewrites = self._layout.rewrites
+        table = {}
+        for exps in product(*(range(power) for _, _, power, _ in rewrites)):
+            key = sum(e << shift for e, (shift, *_) in zip(exps, rewrites))
+            table[key] = [
+                (p, c)
+                for p, c in self._pre_top.items()
+                if all(
+                    (p >> shift) & mask < e + power
+                    for e, (shift, mask, power, _) in zip(exps, rewrites)
+                )
+            ]
+        return sum(mask << shift for shift, mask, _, _ in rewrites), table
+
     def monomial_str(self, mono: Monomial) -> str:
         parts = [f"{n}^{e}" for n, e in zip(self.names, mono) if e]
         return "*".join(parts) if parts else "1"
@@ -257,6 +293,39 @@ class RingDescriptor:
                     raise ValueError(f"unknown generator {name!r}")
                 expo[index[name]] += int(e) if e else 1
         return tuple(expo)
+
+    @cached_property
+    def _block_signatures(self) -> tuple:
+        """Per block: its truncations and relations in block-local indices,
+        or None when a relation reaches outside the block."""
+        return tuple(self._block_signature(b) for b in self.blocks)
+
+    @cached_property
+    def _block_cache(self) -> dict:
+        return {}
+
+    def _block_offsets(self, factor: "RingDescriptor") -> tuple[int, ...]:
+        """Shift of each block's fields against the one-block ring `factor`,
+        whose layout every block must repeat; checked once per pair of rings."""
+        hit = self._block_cache.get(id(factor))
+        if hit is not None and hit[0] is factor:
+            return hit[1]
+        if len(factor.blocks) != 1:
+            raise DomainError("block factors must live on a one-block ring")
+        (own,) = factor.blocks
+        sig = factor._block_signatures[0]
+        layout, own_layout = self._layout, factor._layout
+        offsets = []
+        for block, block_sig in zip(self.blocks, self._block_signatures):
+            offset = layout.shifts[block[0]] - own_layout.shifts[own[0]]
+            if block_sig != sig or any(
+                layout.shifts[g] - own_layout.shifts[j] != offset for j, g in zip(own, block)
+            ):
+                raise DomainError("the ring's blocks do not repeat the factor ring's layout")
+            offsets.append(offset)
+        offsets = tuple(offsets)
+        self._block_cache[id(factor)] = (factor, offsets)
+        return offsets
 
     def _block_signature(self, block: tuple[int, ...]):
         local = {g: j for j, g in enumerate(block)}
@@ -281,7 +350,7 @@ class RingDescriptor:
 
     @cached_property
     def blocks_identical(self) -> bool:
-        sigs = {self._block_signature(b) for b in self.blocks}
+        sigs = set(self._block_signatures)
         return len(sigs) == 1 and None not in sigs
 
 
@@ -479,10 +548,12 @@ class TruncPoly:
             raise RingMismatchError("operands belong to different rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # a TruncPoly operand is tested first: Fraction's metaclass is
+        # ABCMeta, whose instance check is slow on a miss
+        if not isinstance(other, TruncPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = TruncPoly.constant(self.ring, other)
-        elif not isinstance(other, TruncPoly):
-            return NotImplemented
         self._check_ring(other)
         den = lcm(self._den, other._den)
         sa, sb = den // self._den, den // other._den
@@ -512,15 +583,15 @@ class TruncPoly:
         )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncPoly.constant(self.ring, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, TruncPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
                 return TruncPoly.zero(self.ring)
             other = Fraction(other)
@@ -530,8 +601,6 @@ class TruncPoly:
                 self._den * other.denominator,
                 [{m: c * p for m, c in b.items()} for b in self._buckets],
             )
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
         self._check_ring(other)
         ring = self.ring
         layout = ring._layout
@@ -579,10 +648,10 @@ class TruncPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncPoly.constant(self.ring, other)
         if not isinstance(other, TruncPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = TruncPoly.constant(self.ring, other)
         return (
             self.ring == other.ring
             and self._den == other._den
@@ -627,6 +696,7 @@ def top_pairing(a: TruncPoly, b: TruncPoly) -> Fraction:
     ring = a.ring
     top = ring.max_degree
     A, B = a._buckets, b._buckets
+    related_mask, entries = ring._pre_top_by_related
     total = 0
     for k in range(max(0, top + 1 - len(B)), min(len(A), top + 1)):
         outer, inner = A[k], B[top - k]
@@ -635,15 +705,15 @@ def top_pairing(a: TruncPoly, b: TruncPoly) -> Fraction:
         if len(outer) > len(inner):
             outer, inner = inner, outer
         get = inner.get
-        for p, c in ring._pre_top.items():
+        for m, c1 in outer.items():
             pair_sum = 0
-            for m, c1 in outer.items():
+            for p, c in entries[m & related_mask]:
                 # p - m is a normal-form key exactly when no field of m
                 # exceeds p's (module docstring), so a miss needs no test
                 c2 = get(p - m)
                 if c2:
-                    pair_sum += c1 * c2
-            total += c * pair_sum
+                    pair_sum += c * c2
+            total += c1 * pair_sum
     return Fraction(total, a._den * b._den)
 
 
@@ -668,27 +738,118 @@ def series_inverse(a: TruncPoly) -> TruncPoly:
     return result
 
 
+def block_products(
+    ring: RingDescriptor, terms: Iterable[tuple[object, Sequence[tuple[int, TruncPoly]]]]
+) -> TruncPoly:
+    """Sum of coefficient * product over factors, one (coefficient, factors)
+    pair per term, the coefficients ints or Fractions.  Each factor (m, a)
+    places a, a class on a one-block ring whose layout every block of `ring`
+    repeats, in block m, and the factors of a term sit in distinct blocks.
+    Such a product of normal forms is a normal form (module docstring), so
+    its terms are concatenated by shifts, with no kernel product and no
+    rewrite."""
+    rows = []
+    size = 1
+    for coeff, factors in terms:
+        if not coeff:
+            continue
+        term_den, used, degree = coeff.denominator, 0, 0
+        for m, a in factors:
+            if used >> m & 1:
+                raise ValueError("the factors of a block product must sit in distinct blocks")
+            used |= 1 << m
+            term_den *= a._den
+            degree += len(a._buckets) - 1
+        rows.append((coeff.numerator, factors, term_den))
+        size = max(size, degree + 1)
+    den = lcm(*(row[2] for row in rows))
+    buckets: list[dict] = [{} for _ in range(size)]
+    summed = False
+    for num, factors, term_den in rows:
+        partial = [(0, 0, 1)]  # (degree, packed key, numerator) of the product so far
+        for m, a in factors:
+            shift = ring._block_offsets(a.ring)[m]
+            placed = [(d, k << shift, c) for d, b in enumerate(a._buckets) for k, c in b.items()]
+            if partial == [(0, 0, 1)]:
+                partial = placed  # the product so far is the unit
+            else:
+                partial = [
+                    (d1 + d2, k1 + k2, c1 * c2)
+                    for d1, k1, c1 in partial
+                    for d2, k2, c2 in placed
+                ]
+        scale = num * (den // term_den)
+        for deg, key, c in partial:
+            acc = buckets[deg]
+            if key in acc:
+                acc[key] += c * scale
+                summed = True
+            else:
+                acc[key] = c * scale
+    if summed:
+        buckets = [{k: c for k, c in b.items() if c} for b in buckets]
+    return TruncPoly._make(ring, den, buckets)
+
+
+def move_fields(
+    a: TruncPoly,
+    dst: RingDescriptor,
+    moves: Sequence[tuple[int, int]],
+    fixed: Sequence[tuple[int, int]] = (),
+) -> TruncPoly:
+    """Carry a class to `dst` field by field: source generator g lands on
+    destination generator h for each (g, h) in `moves`, and only the terms
+    whose exponent of g is e for each (g, e) in `fixed` are kept, with
+    those generators dropped.  Moved generators must share truncation and
+    relation status, and related ones the relation too (the caller's
+    check), so a normal form lands on a normal form."""
+    src_layout, dst_layout = a.ring._layout, dst._layout
+    runs: list[list[int]] = []  # [source shift, bits, destination shift]
+    for g, h in sorted(moves):
+        if a.ring.truncations[g] != dst.truncations[h] or (
+            g in a.ring._relation_map
+        ) != (h in dst._relation_map):
+            raise DomainError("moved generators must share truncation and relation")
+        s, t = src_layout.shifts[g], dst_layout.shifts[h]
+        bits = src_layout.value_masks[g].bit_length() + 1
+        if runs and runs[-1][0] + runs[-1][1] == s and runs[-1][2] + runs[-1][1] == t:
+            runs[-1][1] += bits
+        else:
+            runs.append([s, bits, t])
+    runs = [(s, (1 << bits) - 1, t) for s, bits, t in runs]
+    fixed_mask = sum(src_layout.value_masks[g] << src_layout.shifts[g] for g, _ in fixed)
+    fixed_key = sum(e << src_layout.shifts[g] for g, e in fixed)
+    drop = sum(e for _, e in fixed)
+    buckets = [
+        {
+            sum(((k >> s) & mask) << t for s, mask, t in runs): c
+            for k, c in b.items()
+            if k & fixed_mask == fixed_key
+        }
+        for b in a._buckets[drop:]
+    ]
+    return TruncPoly._make(dst, a._den, buckets)
+
+
 def map_blocks(a: TruncPoly, dst_ring: RingDescriptor, assignment: Sequence[int]) -> TruncPoly:
     """Relabel generators block-wise: source block m lands in destination
-    block assignment[m] (matched position by position)."""
+    block assignment[m] (matched position by position), which must repeat
+    its truncations and relations; the assignment must be injective."""
     src = a.ring
     if len(assignment) != len(src.blocks):
         raise ValueError("assignment must cover every source block")
-    index_map = {}
+    if len(set(assignment)) != len(assignment):
+        raise ValueError("assignment must be injective")
+    moves = []
     for m, target in enumerate(assignment):
         sblock, dblock = src.blocks[m], dst_ring.blocks[target]
         if len(sblock) != len(dblock):
             raise ValueError("source and destination blocks differ in shape")
-        for sg, dg in zip(sblock, dblock):
-            index_map[sg] = dg
-    items = []
-    for mono, coeff in a.terms.items():
-        new = [0] * dst_ring.ngens
-        for i, e in enumerate(mono):
-            if e:
-                new[index_map[i]] += e  # collisions restrict to a diagonal
-        items.append((tuple(new), coeff))
-    return TruncPoly(dst_ring, items)
+        sig = src._block_signatures[m]
+        if sig is None or sig != dst_ring._block_signatures[target]:
+            raise DomainError("source and destination blocks differ in truncations or relations")
+        moves.extend(zip(sblock, dblock))
+    return move_fields(a, dst_ring, moves)
 
 
 def permute_blocks(a: TruncPoly, sigma: Sequence[int]) -> TruncPoly:

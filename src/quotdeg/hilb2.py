@@ -6,18 +6,29 @@ powers of the tautological divisor push down to X x X as explicit diagonal
 classes, and every X^[2]-integral is half of the corresponding blow-up
 integral.  The degree evaluator also carries a closed form in the Segre
 classes of X and cross-checks it against the blow-up route on every call.
+
+The box powers (M boxplus M)^i on X x X are never built by products in the
+square ring.  The two blocks commute, so
+(M boxplus M)^i = sum_j binom(i, j) M^j (x) M^{i-j}: the powers of M are
+taken on X, and each term is one block product (`block_products`), the
+terms of M^j and M^{i-j} concatenated in disjoint fields, which is a normal
+form already.  The terms for different j have different degrees in the
+first block, so they never collide.  The blow-up route computes these
+powers of M itself and shares none of them with the closed route.  The
+products of box powers with the exceptional pushforwards are still
+products in the square ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .errors import CrossCheckError, DomainError
-from .exactpoly import TruncPoly, binomial
+from .exactpoly import TruncPoly, binomial, block_products
 from .varieties import (
     SpaceDescriptor,
-    boxsum,
     diagonal_pushforward,
     integrate,
     integrate_product,
@@ -87,12 +98,18 @@ def pair_power_pushforward_table(
 
 
 def _box_powers(space: SpaceDescriptor, divisor: TruncPoly, top: int) -> list[TruncPoly]:
-    """The powers (M boxplus M)^i for i = 0..top."""
-    box = boxsum(space, 2, divisor)
-    box_powers = [TruncPoly.one(power_ring(space, 2))]
+    """The powers (M boxplus M)^i = sum_j binom(i, j) M^j (x) M^{i-j} for
+    i = 0..top, each term one block product of powers of M taken on X."""
+    square = power_ring(space, 2)
+    powers = [TruncPoly.one(divisor.ring)]
     for _ in range(top):
-        box_powers.append(box_powers[-1] * box)
-    return box_powers
+        powers.append(powers[-1] * divisor)
+    return [
+        block_products(
+            square, [(comb(i, j), [(0, powers[j]), (1, powers[i - j])]) for j in range(i + 1)]
+        )
+        for i in range(top + 1)
+    ]
 
 
 def _exceptional(space: SpaceDescriptor, top: int) -> dict[int, TruncPoly]:
@@ -103,6 +120,15 @@ def _exceptional(space: SpaceDescriptor, top: int) -> dict[int, TruncPoly]:
         if not e.is_zero():
             exc[m] = e
     return exc
+
+
+def _closed_powers(divisor: TruncPoly, top: int) -> list[TruncPoly]:
+    """The powers M^i for i = 0..top that the closed route integrates; the
+    blow-up route takes its own (`_box_powers`)."""
+    powers = [TruncPoly.one(divisor.ring)]
+    for _ in range(top):
+        powers.append(powers[-1] * divisor)
+    return powers
 
 
 def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
@@ -123,9 +149,7 @@ def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
     if d < 1:
         raise DomainError("the space must be positive-dimensional")
     _check_request(space, divisor, 2 * d)
-    powers = [TruncPoly.one(divisor.ring)]
-    for _ in range(d):
-        powers.append(powers[-1] * divisor)
+    powers = _closed_powers(divisor, d)
     md = integrate(space, powers[d])
     closed = Fraction(1, 2) * binomial(2 * d, d) * md**2
     segre = segre_scheme(space)

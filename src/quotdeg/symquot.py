@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .errors import CrossCheckError, DomainError
@@ -26,6 +26,7 @@ from .exactpoly import (
     DegreePolynomial,
     TruncPoly,
     binomial,
+    block_products,
     compositions,
     map_blocks,
     permute_blocks,
@@ -33,7 +34,6 @@ from .exactpoly import (
 from .varieties import (
     SpaceDescriptor,
     SplitBundle,
-    block_embed,
     boxsum,
     diagonal_class,
     integrate,
@@ -99,25 +99,14 @@ def nu_class(S: SpaceDescriptor, E: SplitBundle, l: int, k: int) -> SymClassRep:
     target = power_ring(S, l)
     segre_E = segre_total(E)
     segre = [segre_E.graded_part(i) for i in range(min(k, d) + 1)]
-    total = TruncPoly.zero(target)
     weight_num = factorial(l * (r - 1) + k)
+    terms = []
     for parts in compositions(k, l):
         if any(p >= len(segre) for p in parts):
             continue
-        term = TruncPoly.one(target)
-        for m, p in enumerate(parts):
-            if p == 0:
-                continue
-            term = term * block_embed(S, l, m, segre[p])
-            if term.is_zero():
-                break
-        if term.is_zero():
-            continue
-        weight = Fraction(weight_num)
-        for p in parts:
-            weight /= factorial(r - 1 + p)
-        total = total + weight * term
-    return SymClassRep(Fraction(-1) ** k * total)
+        weight = Fraction(weight_num, prod(factorial(r - 1 + p) for p in parts))
+        terms.append(((-1) ** k * weight, [(m, segre[p]) for m, p in enumerate(parts) if p]))
+    return SymClassRep(block_products(target, terms))
 
 
 def integrate_sym(S: SpaceDescriptor, rep: SymClassRep) -> Fraction:
@@ -258,11 +247,9 @@ def diagonal_span(S: SpaceDescriptor, l: int, degree: int) -> list[tuple[str, Tr
     for degs in compositions(degree - d, l - 1):
         choices = [list(_ring_monomials(ring, dd)) for dd in degs]
         for monos in itertools.product(*choices):
-            cls = diag12 * block_embed(S, l, 0, TruncPoly(ring, [(monos[0], Fraction(1))]))
-            for offset, mono in enumerate(monos[1:]):
-                cls = cls * block_embed(
-                    S, l, offset + 2, TruncPoly(ring, [(mono, Fraction(1))])
-                )
+            # the diagonal factor's monomial sits in block 0, the others in 2..l-1
+            box = [(m, TruncPoly(ring, [(mono, 1)])) for m, mono in zip((0, *range(2, l)), monos)]
+            cls = diag12 * block_products(target, [(1, box)])
             label = "|".join(ring.monomial_str(m) for m in monos)
             span.append((label, _symmetrise(cls, l)))
     return span

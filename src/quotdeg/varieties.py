@@ -37,7 +37,8 @@ from .exactpoly import (
     Relation,
     RingDescriptor,
     TruncPoly,
-    map_blocks,
+    block_products,
+    move_fields,
     series_inverse,
     top_pairing,
 )
@@ -198,27 +199,22 @@ def divisor_from_vector(space: SpaceDescriptor, coeffs: Sequence) -> TruncPoly:
     ring = ring_of(space)
     if len(coeffs) != ring.ngens:
         raise DomainError(f"divisor vector must have length {ring.ngens}")
-    out = TruncPoly.zero(ring)
-    for i, c in enumerate(coeffs):
-        if c:
-            out = out + Fraction(c) * TruncPoly.generator(ring, i)
-    return out
+    units = [tuple(int(j == i) for j in range(ring.ngens)) for i in range(ring.ngens)]
+    return TruncPoly(ring, zip(units, coeffs))
 
 
 def block_embed(space: SpaceDescriptor, l: int, m: int, a: TruncPoly) -> TruncPoly:
     """Insert a class on the space into block m of the l-fold product ring."""
     if a.ring != ring_of(space):
         raise DomainError("class does not live on the given space")
-    return map_blocks(a, power_ring(space, l), (m,))
+    return block_products(power_ring(space, l), [(1, [(m, a)])])
 
 
 def boxsum(space: SpaceDescriptor, l: int, a: TruncPoly) -> TruncPoly:
     """Sum of the class inserted into every block (pullback of a symmetrised divisor)."""
-    target = power_ring(space, l)
-    total = TruncPoly.zero(target)
-    for m in range(l):
-        total = total + block_embed(space, l, m, a)
-    return total
+    if a.ring != ring_of(space):
+        raise DomainError("class does not live on the given space")
+    return block_products(power_ring(space, l), [(1, [(m, a)]) for m in range(l)])
 
 
 def _power_of(space: SpaceDescriptor, a: TruncPoly, where: str) -> int:
@@ -233,16 +229,9 @@ def _power_of(space: SpaceDescriptor, a: TruncPoly, where: str) -> int:
 def pullback_to_bundle(space: ProjBundle, a: TruncPoly) -> TruncPoly:
     """Pull a class back from the l-fold base product to the l-fold bundle product."""
     l = _power_of(space.base, a, "base product")
-    dst = power_ring(space, l)
-    items = []
     k = len(space.base.dims)
-    for mono, coeff in a.terms.items():
-        expo = [0] * dst.ngens
-        for m in range(l):
-            for j in range(k):
-                expo[m * (k + 1) + j] = mono[m * k + j]
-        items.append((tuple(expo), coeff))
-    return TruncPoly(dst, items)
+    moves = [(m * k + j, m * (k + 1) + j) for m in range(l) for j in range(k)]
+    return move_fields(a, power_ring(space, l), moves)
 
 
 # -- characteristic classes ----------------------------------------------
@@ -327,17 +316,9 @@ def bundle_power_pushforward(space: ProjBundle, a: TruncPoly) -> TruncPoly:
     k = len(space.base.dims)
     r = space.bundle.rank
     width = k + 1
-    dst = power_ring(space.base, l)
-    items = []
-    for mono, coeff in a.terms.items():
-        if any(mono[m * width + k] != r - 1 for m in range(l)):
-            continue
-        expo = [0] * dst.ngens
-        for m in range(l):
-            for j in range(k):
-                expo[m * k + j] = mono[m * width + j]
-        items.append((tuple(expo), coeff))
-    return TruncPoly(dst, items)
+    moves = [(m * width + j, m * k + j) for m in range(l) for j in range(k)]
+    fixed = [(m * width + k, r - 1) for m in range(l)]
+    return move_fields(a, power_ring(space.base, l), moves, fixed)
 
 
 # -- diagonals -------------------------------------------------------------

@@ -230,15 +230,29 @@ def test_from_dict_accepts_unicode_minus():
     assert a == Fraction(-3, 2) * gen(R3)
 
 
-def test_map_blocks_folding_is_diagonal_restriction():
+def test_operators_take_numbers_and_reject_other_operands():
+    h = gen(R3)
+    assert 2 * h == h + h == h * 2 and h - 1 == -(1 - h) and 1 + h == h + 1
+    assert Fraction(1, 2) * h + h * Fraction(1, 2) == h and TruncPoly.one(R3) == 1
+    assert (h == "h") is False and h != 1.5
+    for bad in ("1", 1.5, None):
+        with pytest.raises(TypeError):
+            h + bad
+        with pytest.raises(TypeError):
+            h * bad
+        with pytest.raises(TypeError):
+            h - bad
+
+
+def test_map_blocks_rejects_a_folding_assignment():
     from quotdeg.exactpoly import map_blocks
 
     square = square_ring(4)
-    single = univariate(4)
     h1, h2 = gen(square, 0), gen(square, 1)
-    folded = map_blocks(h1 * h2**2 + h1 * h2, single, (0, 0))
-    h = gen(single)
-    assert folded == h**3 + h**2
+    with pytest.raises(ValueError, match="injective"):
+        map_blocks(h1 * h2**2 + h1 * h2, univariate(4), (0, 0))
+    with pytest.raises(ValueError, match="injective"):
+        map_blocks(h1 * h2, RingDescriptor(("a", "b", "c"), (4, 4, 4), ((0,), (1,), (2,))), (2, 2))
 
 
 # -- the packed kernel against a schoolbook reference ------------------------

@@ -180,3 +180,62 @@ def test_degree_equals_half_the_full_pair_pushforward_integral():
     for space, M in _degree_matrix():
         pushed = pair_power_pushforward_table(space, M, 2 * space.dimension)[-1]
         assert hilb2_degree(space, M) == integrate(space, pushed) / 2
+
+
+# the six ladder rungs: (factor dimensions, Chern root vectors)
+LADDER_RUNGS = (
+    ((2,), ((0,), (1,))),
+    ((2, 2), ((0, 0), (1, 0), (0, 1))),
+    ((4,), ((0,), (1,), (2,), (-1,))),
+    ((6,), ((0,), (1,), (2,), (-1,), (3,))),
+    ((3, 3), ((0, 0), (1, 0), (0, 1))),
+    ((2, 2, 2), ((0, 0, 0), (1, 1, 0))),
+)
+
+
+def _kernel_box_powers(space, divisor, top):
+    """(M boxplus M)^i by repeated products in the square ring, the box
+    sum built on the term-dict path."""
+    square = power_ring(space, 2)
+    k = ring_of(space).ngens
+    items = []
+    for mono, coeff in divisor.terms.items():
+        items.append((mono + (0,) * k, coeff))
+        items.append(((0,) * k + mono, coeff))
+    box = TruncPoly(square, items)
+    powers = [TruncPoly.one(square)]
+    for _ in range(top):
+        powers.append(powers[-1] * box)
+    return powers
+
+
+def test_box_powers_match_repeated_kernel_products():
+    from fractions import Fraction
+
+    from quotdeg.hilb2 import _box_powers
+    from quotdeg.varieties import pullback_to_bundle, zeta
+
+    for dims, roots in LADDER_RUNGS:
+        S = ProjProduct(dims)
+        X = ProjBundle(S, SplitBundle(tuple(divisor_from_vector(S, v) for v in roots)))
+        M = pullback_to_bundle(X, divisor_from_vector(S, [2] * len(dims))) + zeta(X)
+        assert _box_powers(X, M, X.dimension) == _kernel_box_powers(X, M, X.dimension)
+    # rational coefficients, and powers past the dimension, which vanish
+    for space, vec in ((P2, (1,)), (P1xP1, (2, -1))):
+        M = Fraction(2, 3) * divisor_from_vector(space, vec)
+        top = 2 * space.dimension + 1
+        assert _box_powers(space, M, top) == _kernel_box_powers(space, M, top)
+
+
+def test_blowup_route_takes_its_own_powers_of_the_divisor(monkeypatch):
+    # the closed route sees the powers of 2M and the blow-up route those of
+    # M, so the routes must disagree; powers shared between the routes would
+    # both be those of 2M and agree
+    from quotdeg import hilb2
+    from quotdeg.errors import CrossCheckError
+
+    original = hilb2._closed_powers
+    monkeypatch.setattr(hilb2, "_closed_powers", lambda M, top: original(2 * M, top))
+    for space, M in ((P2, hyperplane(P2, 0)), (P1xP1, divisor_from_vector(P1xP1, (1, 2)))):
+        with pytest.raises(CrossCheckError, match="hilb2 degree routes disagree"):
+            hilb2_degree(space, M)

@@ -274,7 +274,7 @@ def test_fibre_integrals_frozen_values():
     E = bundle(P1, (0,), (0,))
     for n in (1, 2, 3):
         instance = inst(P1, E, n)
-        closed = _fibre_integrals_closed(instance)
+        closed = _fibre_integrals_closed(instance, segre_total(twist(E, instance.Lc1)))
         assert closed == [2 * n, -2 * n - 2, 4]
 
 
@@ -326,15 +326,16 @@ def test_closed_routes_match_their_class_sum_form():
     ]
     for space, E, L in cases:
         instance = Quot2Instance(space, E, L)
-        assert quot2._fibre_integrals_closed(instance) == reference_fibre_integrals(instance)
+        closed = quot2._fibre_integrals_closed(instance, segre_total(twist(E, L)))
+        assert closed == reference_fibre_integrals(instance)
         assert degree2_formula(instance) == reference_formula(instance)
 
 
 def test_projbundle_direct_check_fires_on_corrupted_closed_integrals(monkeypatch):
     original = quot2._fibre_integrals_closed
 
-    def corrupted(instance):
-        values = original(instance)
+    def corrupted(instance, segre_EL):
+        values = original(instance, segre_EL)
         values[1] += 1
         return values
 

@@ -334,3 +334,45 @@ def test_multint_mixed_divisors_hand_value():
     sigma1 = sum(ns)
     sigma2 = sum(ns[i] * ns[j] for i in range(4) for j in range(i + 1, 4))
     assert value == 2 * sigma2 - 4 * sigma1 + 6 == 4
+
+
+
+def test_nu_class_matches_kernel_products_of_block_embeddings():
+    # the multinomial sum with every term formed by kernel products of
+    # block embeddings built on the term-dict path, on spaces with and
+    # without relations
+    from quotdeg.exactpoly import compositions
+    from quotdeg.varieties import ProjBundle, segre_total
+
+    def embed(a, target, m):
+        width = a.ring.ngens
+        items = [((0,) * (m * width) + mono + (0,) * (target.ngens - (m + 1) * width), c)
+                 for mono, c in a.terms.items()]
+        return TruncPoly(target, items)
+
+    def reference_nu(S, E, l, k):
+        target, r = power_ring(S, l), E.rank
+        segre = segre_total(E)
+        total = TruncPoly.zero(target)
+        for parts in compositions(k, l):
+            term = TruncPoly.one(target)
+            for m, p in enumerate(parts):
+                term = term * embed(segre.graded_part(p), target, m)
+            weight = Fraction(factorial(l * (r - 1) + k))
+            for p in parts:
+                weight /= factorial(r - 1 + p)
+            total = total + weight * term
+        return (-1) ** k * total
+
+    X = ProjBundle(P1, bundle(P1, (0,), (1,)))
+    z, h = TruncPoly.generator(ring_of(X), 1), TruncPoly.generator(ring_of(X), 0)
+    cases = [
+        (P2, bundle(P2, (1,), (-2,))),
+        (P3, bundle(P3, (1,), (0,), (2,))),
+        (ProjProduct((1, 2)), SplitBundle((hyperplane(ProjProduct((1, 2)), 1),) * 2)),
+        (X, SplitBundle((z, z - h, 2 * h))),
+    ]
+    for S, E in cases:
+        for l in (2, 3):
+            for k in range(l * S.dimension + 1):
+                assert nu_class(S, E, l, k).rep == reference_nu(S, E, l, k)

@@ -10,6 +10,7 @@ from quotdeg.varieties import (
     ProjProduct,
     SplitBundle,
     block_embed,
+    boxsum,
     bundle_power_pushforward,
     chern_total,
     diagonal_class,
@@ -321,3 +322,151 @@ def test_integrals_and_fibre_maps_reject_a_class_off_the_space():
         bundle_power_pushforward(X, hyperplane(P1, 0))
     with pytest.raises(DomainError):
         pullback_to_bundle(X, zeta(X))
+
+
+# -- block products and field moves against the term-dict paths -------------
+
+
+def reference_map_blocks(a, dst, assignment):
+    """The term-dict relabelling: exponents moved block by block, then the
+    constructor's normal form."""
+    index_map = {}
+    for m, target in enumerate(assignment):
+        index_map.update(zip(a.ring.blocks[m], dst.blocks[target]))
+    items = []
+    for mono, coeff in a.terms.items():
+        new = [0] * dst.ngens
+        for i, e in enumerate(mono):
+            new[index_map[i]] += e
+        items.append((tuple(new), coeff))
+    return TruncPoly(dst, items)
+
+
+def reference_pullback(space, a):
+    l, k = len(a.ring.blocks), len(space.base.dims)
+    dst = power_ring(space, l)
+    items = []
+    for mono, coeff in a.terms.items():
+        expo = [0] * dst.ngens
+        for m in range(l):
+            for j in range(k):
+                expo[m * (k + 1) + j] = mono[m * k + j]
+        items.append((tuple(expo), coeff))
+    return TruncPoly(dst, items)
+
+
+def reference_pushforward(space, a):
+    l, k, r = len(a.ring.blocks), len(space.base.dims), space.bundle.rank
+    dst = power_ring(space.base, l)
+    items = []
+    for mono, coeff in a.terms.items():
+        if any(mono[m * (k + 1) + k] != r - 1 for m in range(l)):
+            continue
+        expo = [0] * dst.ngens
+        for m in range(l):
+            for j in range(k):
+                expo[m * k + j] = mono[m * (k + 1) + j]
+        items.append((tuple(expo), coeff))
+    return TruncPoly(dst, items)
+
+
+def _block_spaces():
+    # P^n, products of projective spaces, and split P(E) with relations
+    return [
+        P2,
+        ProjProduct((4,)),
+        P1xP1,
+        ProjProduct((2, 1)),
+        ProjBundle(P1, line_bundles(P1, (0,), (1,))),
+        ProjBundle(P2, line_bundles(P2, (1,), (0,), (-2,))),
+        ProjBundle(P1xP1, line_bundles(P1xP1, (0, 1), (2, -1), (1, 1))),
+    ]
+
+
+def test_block_products_match_kernel_products_of_block_embeddings():
+    from quotdeg.exactpoly import block_products
+
+    rng = random.Random(1717)
+    for space in _block_spaces():
+        ring = ring_of(space)
+        for l in (2, 3):
+            target = power_ring(space, l)
+            for _ in range(8):
+                blocks = rng.sample(range(l), rng.randint(1, l))
+                factors = [(m, _random_terms(rng, ring, rng.randint(1, 6))) for m in blocks]
+                coeff = Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 5))
+                expected = TruncPoly.constant(target, coeff)
+                for m, a in factors:
+                    expected = expected * reference_map_blocks(a, target, (m,))
+                assert block_products(target, [(coeff, factors)]) == expected
+            # a sum of several products, including shared keys that cancel
+            a, b = (_random_terms(rng, ring, 5) for _ in range(2))
+            terms = [(1, [(0, a), (1, b)]), (Fraction(1, 3), [(1, b)]), (-1, [(1, b), (0, a)])]
+            assert block_products(target, terms) == Fraction(1, 3) * reference_map_blocks(
+                b, target, (1,)
+            )
+            assert block_products(target, []) == TruncPoly.zero(target)
+            assert block_products(target, [(Fraction(2, 3), [])]) == Fraction(2, 3)
+
+
+def test_block_embed_and_boxsum_match_the_term_dict_path():
+    rng = random.Random(88)
+    for space in _block_spaces():
+        for l in (1, 2, 3):
+            target = power_ring(space, l)
+            a = _random_terms(rng, ring_of(space), 7)
+            embedded = [reference_map_blocks(a, target, (m,)) for m in range(l)]
+            for m in range(l):
+                assert block_embed(space, l, m, a) == embedded[m]
+            total = TruncPoly.zero(target)
+            for e in embedded:
+                total = total + e
+            assert boxsum(space, l, a) == total
+
+
+def test_block_products_reject_a_ring_with_another_layout():
+    from quotdeg.exactpoly import block_products
+
+    X = ProjBundle(P1, line_bundles(P1, (0,), (1,)))
+    Y = ProjBundle(P1, line_bundles(P1, (0,), (2,)))
+    with pytest.raises(DomainError, match="layout"):
+        block_products(power_ring(P1, 2), [(1, [(0, hyperplane(P2, 0))])])
+    # same field widths, different relation
+    with pytest.raises(DomainError, match="layout"):
+        block_products(power_ring(X, 2), [(1, [(1, zeta(Y))])])
+    with pytest.raises(DomainError, match="one-block"):
+        block_products(power_ring(P1, 3), [(1, [(0, TruncPoly.one(power_ring(P1, 2)))])])
+    with pytest.raises(ValueError, match="distinct blocks"):
+        h = hyperplane(P1, 0)
+        block_products(power_ring(P1, 2), [(1, [(0, h), (0, h)])])
+
+
+def test_field_moves_match_the_term_dict_paths():
+    from quotdeg.exactpoly import map_blocks
+
+    rng = random.Random(4242)
+    for space in _block_spaces():
+        for l in (1, 2, 3):
+            ring = power_ring(space, l)
+            for _ in range(6):
+                a = _random_terms(rng, ring, rng.randint(0, 25))
+                sigma = rng.sample(range(l), l)
+                assert permute_blocks(a, sigma) == reference_map_blocks(a, ring, sigma)
+                into = power_ring(space, l + 1)
+                assignment = rng.sample(range(l + 1), l)
+                assert map_blocks(a, into, assignment) == reference_map_blocks(a, into, assignment)
+                if isinstance(space, ProjBundle):
+                    assert bundle_power_pushforward(space, a) == reference_pushforward(space, a)
+                    b = _random_terms(rng, power_ring(space.base, l), rng.randint(0, 25))
+                    assert pullback_to_bundle(space, b) == reference_pullback(space, b)
+
+
+def test_map_blocks_rejects_blocks_with_other_truncations_or_relations():
+    from quotdeg.exactpoly import map_blocks
+
+    X = ProjBundle(P1, line_bundles(P1, (0,), (1,)))
+    Y = ProjBundle(P1, line_bundles(P1, (0,), (2,)))
+    with pytest.raises(DomainError):
+        map_blocks(hyperplane(P1, 0), power_ring(P2, 2), (1,))
+    with pytest.raises(DomainError):
+        map_blocks(zeta(X), power_ring(Y, 2), (0,))
