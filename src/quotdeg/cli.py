@@ -231,6 +231,10 @@ def _poly_json(poly: DegreePolynomial) -> list[str]:
 
 
 def _cmd_degree2(args) -> int:
+    if args.polynomial and (args.sweep or args.n is not None or args.pipeline != "all"):
+        raise DomainError("--polynomial takes no --n, no --sweep and no --pipeline other than all")
+    if args.sweep and args.sweep[0] > args.sweep[1]:
+        raise DomainError(f"--sweep n={args.sweep[0]}..{args.sweep[1]} is a reversed range")
     data = _load_json(args.input)
     S, E, direction = _parse_instance(data)
     if args.polynomial:

@@ -54,17 +54,17 @@ by total degree, with `int` numerators over one common denominator:
   ints, and p - m equals a normal-form key only when no field of m exceeds
   p's.  The result is one `Fraction` over the product of the two
   denominators.
-* Block products.  Each block of a power ring repeats the field layout of
-  its one-block factor ring at a fixed offset (`RingDescriptor._block_offsets`
-  checks that once per pair of rings), and every relation involves only its
-  own block.  So a normal-form monomial of the factor ring placed in block m
-  is one shift, and a product of factors in distinct blocks
-  (`block_products`) is a normal form already: the fields are disjoint, no
-  exponent grows, and no relation mixes blocks, so no kernel product and no
-  rewrite is needed, and distinct term tuples never collide.  Moving a
-  class between rings whose blocks share a layout (`map_blocks`, the bundle
-  pullback and pushforward) is likewise one mask and shift per run of
-  adjacent fields (`move_fields`).
+* Block products.  When the monomials of two normal forms use disjoint
+  generators, as classes placed in distinct blocks of a power ring do, each
+  exponent of their product comes from one factor, so it stays below its
+  truncation and no relation applies, and the packed fields cannot carry
+  into each other.  The product is then a normal form whose keys are sums
+  of the factors' keys, and distinct key pairs give distinct sums, so
+  `block_products` forms such products with no kernel product and no
+  rewrite.  A class reaches another ring only by moving fields
+  (`move_fields`): one mask and shift per run of adjacent fields, for
+  placing a class in a block or permuting blocks (`map_blocks`) and for the
+  bundle pullback and pushforward.
 * Coefficients.  Numerators are ints over one positive denominator, and the
   pair (denominator, numerators) is kept reduced, so two equal polynomials
   have identical storage.  Relation coefficients are integers (Chern classes
@@ -83,9 +83,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
-from math import comb, factorial, gcd, lcm, prod
+from functools import cached_property, reduce
+from itertools import chain, product
+from math import comb, factorial, gcd, lcm
+from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, RingMismatchError
@@ -300,33 +301,6 @@ class RingDescriptor:
         or None when a relation reaches outside the block."""
         return tuple(self._block_signature(b) for b in self.blocks)
 
-    @cached_property
-    def _block_cache(self) -> dict:
-        return {}
-
-    def _block_offsets(self, factor: "RingDescriptor") -> tuple[int, ...]:
-        """Shift of each block's fields against the one-block ring `factor`,
-        whose layout every block must repeat; checked once per pair of rings."""
-        hit = self._block_cache.get(id(factor))
-        if hit is not None and hit[0] is factor:
-            return hit[1]
-        if len(factor.blocks) != 1:
-            raise DomainError("block factors must live on a one-block ring")
-        (own,) = factor.blocks
-        sig = factor._block_signatures[0]
-        layout, own_layout = self._layout, factor._layout
-        offsets = []
-        for block, block_sig in zip(self.blocks, self._block_signatures):
-            offset = layout.shifts[block[0]] - own_layout.shifts[own[0]]
-            if block_sig != sig or any(
-                layout.shifts[g] - own_layout.shifts[j] != offset for j, g in zip(own, block)
-            ):
-                raise DomainError("the ring's blocks do not repeat the factor ring's layout")
-            offsets.append(offset)
-        offsets = tuple(offsets)
-        self._block_cache[id(factor)] = (factor, offsets)
-        return offsets
-
     def _block_signature(self, block: tuple[int, ...]):
         local = {g: j for j, g in enumerate(block)}
         sig = []
@@ -344,14 +318,9 @@ class RingDescriptor:
                     if i not in local:
                         return None  # relation reaches outside the block
                     loc[local[i]] = e
-                terms.append((tuple(loc), coeff))
+                terms.append((tuple(loc), int(coeff)))  # integral; ints compare fast
             sig.append((self.truncations[g], (j, rel.power, tuple(sorted(terms)))))
         return tuple(sig)
-
-    @cached_property
-    def blocks_identical(self) -> bool:
-        sigs = set(self._block_signatures)
-        return len(sigs) == 1 and None not in sigs
 
 
 def _reduce_terms(layout: _Layout, buckets: list[dict]) -> None:
@@ -739,25 +708,30 @@ def series_inverse(a: TruncPoly) -> TruncPoly:
 
 
 def block_products(
-    ring: RingDescriptor, terms: Iterable[tuple[object, Sequence[tuple[int, TruncPoly]]]]
+    ring: RingDescriptor, terms: Iterable[tuple[object, Sequence[TruncPoly]]]
 ) -> TruncPoly:
-    """Sum of coefficient * product over factors, one (coefficient, factors)
-    pair per term, the coefficients ints or Fractions.  Each factor (m, a)
-    places a, a class on a one-block ring whose layout every block of `ring`
-    repeats, in block m, and the factors of a term sit in distinct blocks.
+    """Sum of coefficient * product of factors, one (coefficient, factors)
+    pair per term, the coefficients ints or Fractions and the factors
+    classes on `ring` whose monomials use pairwise disjoint generators.
     Such a product of normal forms is a normal form (module docstring), so
-    its terms are concatenated by shifts, with no kernel product and no
-    rewrite."""
+    its packed keys just add, with no kernel product and no rewrite."""
+    guards = ring._layout.trunc_guard | ring._layout.rel_guard
+    values = (1 << guards.bit_length()) - 1 - guards  # the fields tile the bits below
     rows = []
     size = 1
     for coeff, factors in terms:
         if not coeff:
             continue
         term_den, used, degree = coeff.denominator, 0, 0
-        for m, a in factors:
-            if used >> m & 1:
-                raise ValueError("the factors of a block product must sit in distinct blocks")
-            used |= 1 << m
+        for a in factors:
+            if a.ring is not ring and a.ring != ring:
+                raise RingMismatchError("block product factors must live on the product ring")
+            # the OR of the factor's keys, each nonzero field carried into its
+            # guard bit: one bit per generator the factor uses
+            support = (reduce(or_, chain.from_iterable(a._buckets), 0) + values) & guards
+            if used & support:
+                raise ValueError("the factors of a block product must use disjoint generators")
+            used |= support
             term_den *= a._den
             degree += len(a._buckets) - 1
         rows.append((coeff.numerator, factors, term_den))
@@ -767,9 +741,8 @@ def block_products(
     summed = False
     for num, factors, term_den in rows:
         partial = [(0, 0, 1)]  # (degree, packed key, numerator) of the product so far
-        for m, a in factors:
-            shift = ring._block_offsets(a.ring)[m]
-            placed = [(d, k << shift, c) for d, b in enumerate(a._buckets) for k, c in b.items()]
+        for a in factors:
+            placed = [(d, k, c) for d, b in enumerate(a._buckets) for k, c in b.items()]
             if partial == [(0, 0, 1)]:
                 partial = placed  # the product so far is the unit
             else:
@@ -817,6 +790,10 @@ def move_fields(
         else:
             runs.append([s, bits, t])
     runs = [(s, (1 << bits) - 1, t) for s, bits, t in runs]
+    if len(runs) == 1 and not fixed:  # one run, as when placing a class in a block
+        ((s, mask, t),) = runs
+        buckets = [{(k >> s & mask) << t: c for k, c in b.items()} for b in a._buckets]
+        return TruncPoly._make(dst, a._den, buckets)
     fixed_mask = sum(src_layout.value_masks[g] << src_layout.shifts[g] for g, _ in fixed)
     fixed_key = sum(e << src_layout.shifts[g] for g, e in fixed)
     drop = sum(e for _, e in fixed)
@@ -842,13 +819,10 @@ def map_blocks(a: TruncPoly, dst_ring: RingDescriptor, assignment: Sequence[int]
         raise ValueError("assignment must be injective")
     moves = []
     for m, target in enumerate(assignment):
-        sblock, dblock = src.blocks[m], dst_ring.blocks[target]
-        if len(sblock) != len(dblock):
-            raise ValueError("source and destination blocks differ in shape")
-        sig = src._block_signatures[m]
+        sig = src._block_signatures[m]  # one entry per generator
         if sig is None or sig != dst_ring._block_signatures[target]:
             raise DomainError("source and destination blocks differ in truncations or relations")
-        moves.extend(zip(sblock, dblock))
+        moves.extend(zip(src.blocks[m], dst_ring.blocks[target]))
     return move_fields(a, dst_ring, moves)
 
 
@@ -857,8 +831,6 @@ def permute_blocks(a: TruncPoly, sigma: Sequence[int]) -> TruncPoly:
     ring = a.ring
     if sorted(sigma) != list(range(len(ring.blocks))):
         raise ValueError("sigma must be a permutation of the blocks")
-    if not ring.blocks_identical:
-        raise DomainError("permute_blocks requires identical blocks")
     return map_blocks(a, ring, sigma)
 
 

@@ -10,13 +10,15 @@ classes of X and cross-checks it against the blow-up route on every call.
 The box powers (M boxplus M)^i on X x X are never built by products in the
 square ring.  The two blocks commute, so
 (M boxplus M)^i = sum_j binom(i, j) M^j (x) M^{i-j}: the powers of M are
-taken on X, and each term is one block product (`block_products`), the
-terms of M^j and M^{i-j} concatenated in disjoint fields, which is a normal
-form already.  The terms for different j have different degrees in the
-first block, so they never collide.  The blow-up route computes these
-powers of M itself and shares none of them with the closed route.  The
-products of box powers with the exceptional pushforwards are still
-products in the square ring.
+taken on X and placed once in each block of the square (`map_blocks`),
+and each term is one block product (`block_products`) of two classes on
+disjoint generators, whose keys just add to a normal form.  The terms for
+different j have different degrees in the first block, so they never
+collide.  The blow-up route computes these powers of M itself and shares
+none of them with the closed route.  The exceptional pushforwards vanish
+for 0 < m < dim X and are the unit class for m = 0, so each pushed power
+starts from its box power and adds the products with the pushforwards for
+m >= dim X, which are still products in the square ring.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import CrossCheckError, DomainError
-from .exactpoly import TruncPoly, binomial, block_products
+from .exactpoly import TruncPoly, binomial, block_products, map_blocks
 from .varieties import (
     SpaceDescriptor,
     diagonal_pushforward,
@@ -43,19 +45,15 @@ __all__ = [
     "hilb2_degree",
 ]
 
-# guard against runaway exponents in requests; everything in scope stays
-# at or below twice the dimension
-_POWER_SLACK = 64
-
 
 def _check_request(space: SpaceDescriptor, divisor: TruncPoly, power: int) -> None:
     """Reject a divisor off the space, one not homogeneous of degree 1, or
-    a power out of range."""
+    a power above twice the dimension, the most any caller needs."""
     if divisor.ring != ring_of(space):
         raise DomainError("divisor must live on the space")
     if not divisor.is_zero() and (not divisor.is_homogeneous() or divisor.total_degree() != 1):
         raise DomainError("divisor must be homogeneous of degree 1")
-    if not 0 <= power <= 2 * space.dimension + _POWER_SLACK:
+    if not 0 <= power <= 2 * space.dimension:
         raise DomainError("power out of supported range")
 
 
@@ -89,7 +87,7 @@ def pair_power_pushforward_table(
     exc = _exceptional(space, max_power)
     out = []
     for n in range(max_power + 1):
-        total = TruncPoly.zero(box_powers[0].ring)
+        total = box_powers[n]  # the m = 0 term
         for m, e in exc.items():
             if m <= n:
                 total = total + binomial(n, m) * box_powers[n - m] * e
@@ -104,17 +102,18 @@ def _box_powers(space: SpaceDescriptor, divisor: TruncPoly, top: int) -> list[Tr
     powers = [TruncPoly.one(divisor.ring)]
     for _ in range(top):
         powers.append(powers[-1] * divisor)
+    first = [map_blocks(p, square, (0,)) for p in powers]
+    second = [map_blocks(p, square, (1,)) for p in powers]
     return [
-        block_products(
-            square, [(comb(i, j), [(0, powers[j]), (1, powers[i - j])]) for j in range(i + 1)]
-        )
+        block_products(square, [(comb(i, j), [first[j], second[i - j]]) for j in range(i + 1)])
         for i in range(top + 1)
     ]
 
 
 def _exceptional(space: SpaceDescriptor, top: int) -> dict[int, TruncPoly]:
-    """The nonzero blow-up pushforwards of the exceptional powers m <= top."""
-    exc = {0: blowup_power_pushforward(space, 0)}
+    """The nonzero blow-up pushforwards of the exceptional powers m <= top
+    other than m = 0, whose pushforward is the unit class."""
+    exc = {}
     for m in range(space.dimension, top + 1):
         e = blowup_power_pushforward(space, m)
         if not e.is_zero():
@@ -164,8 +163,7 @@ def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
     box_powers = _box_powers(space, divisor, d)
     blowup = integrate_product(space, box_powers[d], box_powers[d])
     for m, e in _exceptional(space, 2 * d).items():
-        if m:
-            blowup += binomial(2 * d, m) * integrate_product(space, box_powers[2 * d - m], e)
+        blowup += binomial(2 * d, m) * integrate_product(space, box_powers[2 * d - m], e)
     blowup_route = Fraction(1, 2) * blowup
     if closed != blowup_route:
         raise CrossCheckError(

@@ -99,13 +99,17 @@ def nu_class(S: SpaceDescriptor, E: SplitBundle, l: int, k: int) -> SymClassRep:
     target = power_ring(S, l)
     segre_E = segre_total(E)
     segre = [segre_E.graded_part(i) for i in range(min(k, d) + 1)]
+    placed: dict[tuple[int, int], TruncPoly] = {}  # s_p(E) in block m, placed once
     weight_num = factorial(l * (r - 1) + k)
     terms = []
     for parts in compositions(k, l):
         if any(p >= len(segre) for p in parts):
             continue
+        for m, p in enumerate(parts):
+            if p and (m, p) not in placed:
+                placed[m, p] = map_blocks(segre[p], target, (m,))
         weight = Fraction(weight_num, prod(factorial(r - 1 + p) for p in parts))
-        terms.append(((-1) ** k * weight, [(m, segre[p]) for m, p in enumerate(parts) if p]))
+        terms.append(((-1) ** k * weight, [placed[m, p] for m, p in enumerate(parts) if p]))
     return SymClassRep(block_products(target, terms))
 
 
@@ -242,13 +246,19 @@ def diagonal_span(S: SpaceDescriptor, l: int, degree: int) -> list[tuple[str, Tr
         return []
     target = power_ring(S, l)
     diag12 = map_blocks(diagonal_class(S), target, (0, 1))
+    # the diagonal factor's monomial sits in block 0, the others in 2..l-1;
+    # each monomial is placed in each of those blocks once
+    slots = (0, *range(2, l))
+    placed: dict[tuple[int, tuple[int, ...]], TruncPoly] = {}
     span: list[tuple[str, TruncPoly]] = []
     # one degree slot for the diagonal factor, one per remaining block
     for degs in compositions(degree - d, l - 1):
         choices = [list(_ring_monomials(ring, dd)) for dd in degs]
         for monos in itertools.product(*choices):
-            # the diagonal factor's monomial sits in block 0, the others in 2..l-1
-            box = [(m, TruncPoly(ring, [(mono, 1)])) for m, mono in zip((0, *range(2, l)), monos)]
+            for m, mono in zip(slots, monos):
+                if (m, mono) not in placed:
+                    placed[m, mono] = map_blocks(TruncPoly(ring, [(mono, 1)]), target, (m,))
+            box = [placed[m, mono] for m, mono in zip(slots, monos)]
             cls = diag12 * block_products(target, [(1, box)])
             label = "|".join(ring.monomial_str(m) for m in monos)
             span.append((label, _symmetrise(cls, l)))

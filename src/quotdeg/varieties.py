@@ -37,7 +37,7 @@ from .exactpoly import (
     Relation,
     RingDescriptor,
     TruncPoly,
-    block_products,
+    map_blocks,
     move_fields,
     series_inverse,
     top_pairing,
@@ -207,14 +207,13 @@ def block_embed(space: SpaceDescriptor, l: int, m: int, a: TruncPoly) -> TruncPo
     """Insert a class on the space into block m of the l-fold product ring."""
     if a.ring != ring_of(space):
         raise DomainError("class does not live on the given space")
-    return block_products(power_ring(space, l), [(1, [(m, a)])])
+    return map_blocks(a, power_ring(space, l), (m,))
 
 
 def boxsum(space: SpaceDescriptor, l: int, a: TruncPoly) -> TruncPoly:
     """Sum of the class inserted into every block (pullback of a symmetrised divisor)."""
-    if a.ring != ring_of(space):
-        raise DomainError("class does not live on the given space")
-    return block_products(power_ring(space, l), [(1, [(m, a)]) for m in range(l)])
+    placed = (block_embed(space, l, m, a) for m in range(l))
+    return sum(placed, TruncPoly.zero(power_ring(space, l)))
 
 
 def _power_of(space: SpaceDescriptor, a: TruncPoly, where: str) -> int:

@@ -53,6 +53,30 @@ def test_degree2_single_pipeline(capsys, p1_rank2):
     assert json.loads(out)["degree"] == "66"
 
 
+def test_degree2_rejects_a_reversed_sweep(capsys, p1_rank2):
+    code, out = run(capsys, ["degree2", "--input", p1_rank2, "--sweep", "n=5..2"])
+    assert code == 2
+    assert "reversed" in json.loads(out)["error"]
+    code, out = run(capsys, ["degree2", "--input", p1_rank2, "--sweep", "n=2..2"])
+    assert (code, out.splitlines()) == (0, ["n,degree", "2,22"])
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--sweep", "n=0..3"], ["--n", "2"], ["--pipeline", "formula"], ["--pipeline", "geometric"]],
+)
+def test_degree2_polynomial_rejects_a_second_mode(capsys, p1_rank2, extra):
+    code, out = run(capsys, ["degree2", "--input", p1_rank2, "--polynomial", *extra])
+    assert code == 2
+    assert "--polynomial" in json.loads(out)["error"]
+
+
+def test_degree2_polynomial_accepts_the_default_pipeline(capsys, p1_rank2):
+    code, out = run(capsys, ["degree2", "--input", p1_rank2, "--polynomial", "--pipeline", "all"])
+    assert code == 0
+    assert json.loads(out) == {"coefficients": ["6", "-16", "12"], "pipelines_agree": True}
+
+
 def test_hilb2(capsys):
     space = '{"type": "projective_product", "dims": [1]}'
     code, out = run(capsys, ["hilb2", "--space", space, "--divisor", "3"])

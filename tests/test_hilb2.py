@@ -94,6 +94,9 @@ def test_request_validation():
         pair_power_pushforward_table(P2, hyperplane(P2, 0) ** 2, 2)
     with pytest.raises(DomainError):
         pair_power_pushforward_table(P2, hyperplane(P2, 0), 500)
+    with pytest.raises(DomainError):
+        pair_power_pushforward_table(P2, hyperplane(P2, 0), 2 * P2.dimension + 1)
+    assert len(pair_power_pushforward_table(P2, hyperplane(P2, 0), 2 * P2.dimension)) == 5
 
 
 def test_degree_P1():

@@ -393,20 +393,34 @@ def test_block_products_match_kernel_products_of_block_embeddings():
             target = power_ring(space, l)
             for _ in range(8):
                 blocks = rng.sample(range(l), rng.randint(1, l))
-                factors = [(m, _random_terms(rng, ring, rng.randint(1, 6))) for m in blocks]
+                factors = [
+                    reference_map_blocks(_random_terms(rng, ring, rng.randint(1, 6)), target, (m,))
+                    for m in blocks
+                ]
                 coeff = Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 5))
                 expected = TruncPoly.constant(target, coeff)
-                for m, a in factors:
-                    expected = expected * reference_map_blocks(a, target, (m,))
+                for a in factors:
+                    expected = expected * a
                 assert block_products(target, [(coeff, factors)]) == expected
             # a sum of several products, including shared keys that cancel
-            a, b = (_random_terms(rng, ring, 5) for _ in range(2))
-            terms = [(1, [(0, a), (1, b)]), (Fraction(1, 3), [(1, b)]), (-1, [(1, b), (0, a)])]
-            assert block_products(target, terms) == Fraction(1, 3) * reference_map_blocks(
-                b, target, (1,)
-            )
+            a, b = (reference_map_blocks(_random_terms(rng, ring, 5), target, (m,)) for m in (0, 1))
+            terms = [(1, [a, b]), (Fraction(1, 3), [b]), (-1, [b, a])]
+            assert block_products(target, terms) == Fraction(1, 3) * b
             assert block_products(target, []) == TruncPoly.zero(target)
             assert block_products(target, [(Fraction(2, 3), [])]) == Fraction(2, 3)
+    # disjoint generators inside one block: a base class times a polynomial
+    # in z below the relation power, both in block 0 of the square of P(E)
+    X = ProjBundle(P1xP1, line_bundles(P1xP1, (0, 1), (2, -1), (1, 1)))
+    square = power_ring(X, 2)
+    for _ in range(6):
+        base = reference_pullback(X, _random_terms(rng, ring_of(P1xP1), 6))
+        fibre = sum(rng.randint(-3, 3) * zeta(X) ** e for e in range(3))
+        other = _random_terms(rng, ring_of(X), 6)
+        factors = [
+            reference_map_blocks(a, square, (m,)) for a, m in ((base, 0), (fibre, 0), (other, 1))
+        ]
+        expected = 3 * factors[0] * factors[1] * factors[2]
+        assert block_products(square, [(3, factors)]) == expected
 
 
 def test_block_embed_and_boxsum_match_the_term_dict_path():
@@ -424,21 +438,26 @@ def test_block_embed_and_boxsum_match_the_term_dict_path():
             assert boxsum(space, l, a) == total
 
 
-def test_block_products_reject_a_ring_with_another_layout():
+def test_block_products_reject_shared_generators_and_foreign_factors():
+    from quotdeg.errors import RingMismatchError
     from quotdeg.exactpoly import block_products
 
-    X = ProjBundle(P1, line_bundles(P1, (0,), (1,)))
-    Y = ProjBundle(P1, line_bundles(P1, (0,), (2,)))
-    with pytest.raises(DomainError, match="layout"):
-        block_products(power_ring(P1, 2), [(1, [(0, hyperplane(P2, 0))])])
-    # same field widths, different relation
-    with pytest.raises(DomainError, match="layout"):
-        block_products(power_ring(X, 2), [(1, [(1, zeta(Y))])])
-    with pytest.raises(DomainError, match="one-block"):
-        block_products(power_ring(P1, 3), [(1, [(0, TruncPoly.one(power_ring(P1, 2)))])])
-    with pytest.raises(ValueError, match="distinct blocks"):
-        h = hyperplane(P1, 0)
-        block_products(power_ring(P1, 2), [(1, [(0, h), (0, h)])])
+    # P(E) over P^2, rank 2: block m has h(m+1) (truncation 3) and z(m+1)
+    X = ProjBundle(P2, line_bundles(P2, (0,), (1,)))
+    square = power_ring(X, 2)
+    h1, z1, h2, z2 = (TruncPoly.generator(square, i) for i in range(4))
+    # a shared generator at unequal exponents, whose packed fields share no bit
+    overlapping = [(h1, h1**2), (z1, h1 * z1), (h1 + h2, z1 + h2**2), (z2, h1, z2 * h2)]
+    for factors in overlapping:
+        with pytest.raises(ValueError, match="disjoint"):
+            block_products(square, [(1, factors)])
+    # each term is checked on its own
+    terms = [(1, [h1, z1]), (2, [h1**2 * z1, h2, z2])]
+    assert block_products(square, terms) == h1 * z1 + 2 * h1**2 * z1 * h2 * z2
+    with pytest.raises(RingMismatchError):
+        block_products(square, [(1, [h1, zeta(X)])])
+    with pytest.raises(RingMismatchError):
+        block_products(power_ring(X, 3), [(1, [h1])])
 
 
 def test_field_moves_match_the_term_dict_paths():
@@ -470,3 +489,6 @@ def test_map_blocks_rejects_blocks_with_other_truncations_or_relations():
         map_blocks(hyperplane(P1, 0), power_ring(P2, 2), (1,))
     with pytest.raises(DomainError):
         map_blocks(zeta(X), power_ring(Y, 2), (0,))
+    # a block of another shape
+    with pytest.raises(DomainError):
+        map_blocks(hyperplane(P1xP1, 0), power_ring(P2, 2), (0,))
