@@ -25,7 +25,7 @@ from .errors import CrossCheckError, DomainError, RingMismatchError
 from .exactpoly import DegreePolynomial, TruncPoly
 from .grassmann import schubert_degree, syt_count
 from .hilb2 import hilb2_degree
-from .jacobi import JacobiParams, jacobi_hyp
+from .jacobi import JacobiParams, jacobi_finite_sum, jacobi_hyp
 from .localise import degree_polynomial_localised, plucker_degree_localised
 from .quot2 import (
     Quot2Instance,
@@ -340,7 +340,16 @@ def _cmd_grassmann(args) -> int:
 
 def _cmd_jacobi(args) -> int:
     params = JacobiParams(Fraction(args.alpha), Fraction(args.beta), args.n, Fraction(args.z))
-    _emit({"value": str(jacobi_hyp(params))})
+    value = jacobi_hyp(params)
+    try:
+        finite = jacobi_finite_sum(params)
+    except DomainError:  # outside the finite sum's domain the series is the only route
+        finite = value
+    if finite != value:
+        raise CrossCheckError(
+            f"Jacobi routes disagree: hypergeometric {value}, finite sum {finite}"
+        )
+    _emit({"value": str(value)})
     return 0
 
 

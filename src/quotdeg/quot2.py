@@ -4,10 +4,13 @@ pipelines, plus the class-level pushforward and diagonal-defect classes.
 Pipelines, which must agree exactly on every instance:
 
 * a closed formula in Segre classes of S and the twisted bundle, with
-  coefficients from the Jacobi-sum module;
+  coefficients from the Jacobi-sum module; each unordered Segre pair
+  s_i s_j (i + j = d - k) is formed and integrated once and weighted by
+  a_j + a_i, and every a-value is evaluated, so each is cross-checked;
 * the projective-bundle route: the two-point Hilbert scheme degree formula
   evaluated through fibre integrals I_m over P(E twisted), each I_m computed
-  both from its closed form and from its definition;
+  both from its closed form (one integral per unordered Segre pair) and from
+  its definition (with z^0..z^p from one running product);
 * the geometric route: the degree of the two-point Hilbert scheme of P(E)
   for the divisor (pullback of c1 L) + z.
 
@@ -101,7 +104,9 @@ def degree2_formula(inst: Quot2Instance) -> Fraction:
 
     (1/2) binom(2p, p) (int s_d(EL))^2
     - 2^{p-1} sum_k int s_k(S) * sum_j a_j(r,d,k) s_{d-k-j}(EL) s_j(EL),
-    where EL is the twisted bundle.
+    where EL is the twisted bundle.  Each unordered pair s_i s_j with
+    i + j = d - k is formed and integrated once and weighted by a_j + a_i
+    (by a_j alone when i = j); every a-value is still evaluated.
     """
     S, d, p, r = inst.S, inst.d, inst.p, inst.E.rank
     EL = twist(inst.E, inst.Lc1)
@@ -112,28 +117,34 @@ def degree2_formula(inst: Quot2Instance) -> Fraction:
     correction = Fraction(0)
     for k in range(d + 1):
         s_k = segre_S.graded_part(k)
-        for j in range(d - k + 1):
-            pair = segre_EL.graded_part(d - k - j) * segre_EL.graded_part(j)
-            correction += a_coeff(r, d, k, j) * integrate_product(S, s_k, pair)
+        for j in range((d - k) // 2 + 1):
+            i = d - k - j
+            weight = a_coeff(r, d, k, j)
+            if i != j:
+                weight += a_coeff(r, d, k, i)
+            pair = segre_EL.graded_part(i) * segre_EL.graded_part(j)
+            correction += weight * integrate_product(S, s_k, pair)
     return total - Fraction(2) ** (p - 1) * correction
 
 
 def _fibre_integrals_closed(inst: Quot2Instance, segre_EL: TruncPoly) -> list[Fraction]:
     """I_m for m = 0..p from the closed double sum in Segre classes: an integer
     combination of the pair integrals P[k][j] = int s_k(S) s_{d-k-j}(EL) s_j(EL)
-    for k <= m, each integrated once, where segre_EL is the total Segre class
-    of the twisted bundle EL.  The terms with k > m vanish, since each has a
-    negative lower binomial index m - d + j <= m - k."""
+    for k <= m, where segre_EL is the total Segre class of the twisted bundle
+    EL.  P[k][j] = P[k][d-k-j], so each unordered pair is formed and
+    integrated once.  The terms with k > m vanish, since each has a negative
+    lower binomial index m - d + j <= m - k."""
     S, d, p, r = inst.S, inst.d, inst.p, inst.E.rank
     segre_S = segre_scheme(S)
-    pairs = [
-        [segre_EL.graded_part(d - k - j) * segre_EL.graded_part(j) for j in range(d - k + 1)]
-        for k in range(d + 1)
-    ]
-    P = [
-        [integrate_product(S, segre_S.graded_part(k), pair) for pair in row]
-        for k, row in enumerate(pairs)
-    ]
+    P = []
+    for k in range(d + 1):
+        s_k = segre_S.graded_part(k)
+        row = [Fraction(0)] * (d - k + 1)
+        for j in range((d - k) // 2 + 1):
+            i = d - k - j
+            pair = segre_EL.graded_part(i) * segre_EL.graded_part(j)
+            row[j] = row[i] = integrate_product(S, s_k, pair)
+        P.append(row)
     den = lcm(*(x.denominator for row in P for x in row))
     P = [[x.numerator * (den // x.denominator) for x in row] for row in P]
     out = []
@@ -151,7 +162,8 @@ def degree2_projbundle(inst: Quot2Instance) -> Fraction:
     """Projective-bundle pipeline through the fibre integrals I_m.
 
     Each I_m is also recomputed from its definition as an integral over
-    P(E twisted); any mismatch aborts the run.
+    P(E twisted), with z^0..z^p taken from one running product; any
+    mismatch aborts the run.
     """
     S, d, p = inst.S, inst.d, inst.p
     EL = twist(inst.E, inst.Lc1)
@@ -159,9 +171,12 @@ def degree2_projbundle(inst: Quot2Instance) -> Fraction:
     closed = _fibre_integrals_closed(inst, segre_EL)
     X = ProjBundle(S, EL)
     z = zeta(X)
+    z_powers = [TruncPoly.one(z.ring), z]
+    for _ in range(p - 1):
+        z_powers.append(z_powers[-1] * z)
     segre_X = segre_scheme(X)
     for m in range(p + 1):
-        direct = integrate_product(X, z ** (p - m), segre_X.graded_part(m))
+        direct = integrate_product(X, z_powers[p - m], segre_X.graded_part(m))
         if direct != closed[m]:
             raise CrossCheckError(
                 f"fibre integral I_{m} mismatch: closed {closed[m]}, direct {direct}"

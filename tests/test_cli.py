@@ -590,6 +590,29 @@ def test_jacobi_negative_fractions_are_values(capsys):
     assert run(capsys, attached) == (0, out)
 
 
+def corrupt_cli_finite_sum(monkeypatch):
+    from quotdeg import cli
+
+    original = cli.jacobi_finite_sum
+    monkeypatch.setattr(cli, "jacobi_finite_sum", lambda params: original(params) + 1)
+
+
+def test_jacobi_in_domain_compares_both_routes(capsys, monkeypatch):
+    # integer alpha > 0 and beta > -n - alpha - 1: the finite sum is a second route
+    argv = ["jacobi", "--alpha", "3", "--beta", "-7/2", "--n", "4", "--z", "-5/7"]
+    assert run(capsys, argv) == (0, '{"value": "-2477/19208"}\n')
+    corrupt_cli_finite_sum(monkeypatch)
+    code, out = run(capsys, argv)
+    assert code == 3
+    assert json.loads(out)["error"].startswith("Jacobi routes disagree")
+
+
+def test_jacobi_out_of_domain_prints_the_series_value(capsys, monkeypatch):
+    corrupt_cli_finite_sum(monkeypatch)
+    argv = ["jacobi", "--alpha", "1/2", "--beta", "2/3", "--n", "3", "--z", "1/5"]
+    assert run(capsys, argv) == (0, '{"value": "-59723/162000"}\n')
+
+
 def test_mu_p1_coeffs_negative_list_is_a_value(capsys):
     code, out = run(capsys, ["mu-p1-coeffs", "--r", "2", "--l", "2", "--poly", "-1/2,1"])
     assert code == 0

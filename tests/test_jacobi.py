@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -65,7 +66,8 @@ def test_a_coeff_domain():
         a_coeff(1, 1, 0, 2)
 
 
-# -- Fraction reference: the loops the integer kernels replaced, kept as they were
+# -- Fraction references: the loops the integer kernels replaced, and the
+# a_coeff that built a Fraction per route, kept as they were
 
 
 def reference_jacobi_finite_sum(p: JacobiParams) -> Fraction:
@@ -82,7 +84,7 @@ def reference_jacobi_finite_sum(p: JacobiParams) -> Fraction:
     return total
 
 
-def reference_a_coeff(r: int, d: int, k: int, j: int) -> Fraction:
+def fraction_loop_a_coeff(r: int, d: int, k: int, j: int) -> Fraction:
     if r < 1 or d < 1 or not 0 <= k <= d or not 0 <= j <= d - k:
         raise DomainError("a_coeff arguments out of range")
     p = r - 1 + d
@@ -115,9 +117,34 @@ def a_coeff_grid():
     ]
 
 
+def reference_a_coeff(r: int, d: int, k: int, j: int) -> Fraction:
+    """Coefficient a_j of the Segre-class pairing in the rank-r degree formula.
+
+    Evaluated twice: as the direct alternating binomial sum, and as a scaled
+    Jacobi polynomial value at zero.  A mismatch means a convention has been
+    corrupted somewhere, so it aborts instead of returning either value.
+    """
+    if r < 1 or d < 1 or not 0 <= k <= d or not 0 <= j <= d - k:
+        raise DomainError("a_coeff arguments out of range")
+    p = r - 1 + d
+    # sum_m (-1/2)^m C(2p, p+m) C(r-1+m-k, m-d+j); no comb argument is negative
+    direct = sum(
+        (-1) ** m * 2 ** (p - m) * comb(2 * p, p + m) * comb(r - 1 + m - k, m - d + j)
+        for m in range(d - j, p + 1)
+    )
+    direct = Fraction((-1) ** (k + j) * direct, 2**p)
+    value = jacobi_finite_sum(JacobiParams(p + d - j, -p - k - j, r - 1 + j, 0))
+    via_jacobi = Fraction((-1) ** (d - k) * value.numerator, value.denominator * 2 ** (d - j))
+    if direct != via_jacobi:
+        raise CrossCheckError(
+            f"a_coeff routes disagree for r={r} d={d} k={k} j={j}: {direct} vs {via_jacobi}"
+        )
+    return direct
+
+
 def test_a_coeff_matches_fraction_reference_on_grid():
     for args in a_coeff_grid():
-        assert a_coeff(*args) == reference_a_coeff(*args), args
+        assert a_coeff(*args) == reference_a_coeff(*args) == fraction_loop_a_coeff(*args), args
 
 
 def test_finite_sum_matches_fraction_reference():
@@ -148,12 +175,23 @@ def test_finite_sum_integer_route_keeps_the_domain_checks():
     assert jacobi_finite_sum(P(2, -3, 1, 0)) == reference_jacobi_finite_sum(P(2, -3, 1, 0))
 
 
+def corrupt_finite_sum_numerator(monkeypatch):
+    original = jacobi.jacobi_finite_sum_numerator
+    monkeypatch.setattr(jacobi, "jacobi_finite_sum_numerator", lambda *args: original(*args) + 1)
+
+
 def test_a_coeff_route_check_fires_on_a_corrupted_jacobi_route(monkeypatch):
-    original = jacobi.jacobi_finite_sum
-    monkeypatch.setattr(jacobi, "jacobi_finite_sum", lambda params: original(params) + 1)
+    corrupt_finite_sum_numerator(monkeypatch)
     for args in [(1, 1, 1, 0), (2, 2, 0, 1), (6, 6, 3, 3)]:
         with pytest.raises(CrossCheckError, match="a_coeff routes disagree"):
             a_coeff(*args)
+
+
+def test_corrupted_finite_sum_numerator_breaks_the_wrapper_too(monkeypatch):
+    grid = [P(3, -2, 1, 0), P(2, -3, 2, 0), P(4, 1, 3, 5)]
+    assert all(jacobi_finite_sum(p) == jacobi_hyp(p) for p in grid)
+    corrupt_finite_sum_numerator(monkeypatch)
+    assert all(jacobi_finite_sum(p) != jacobi_hyp(p) for p in grid)
 
 
 # -- the hypergeometric series with every Pochhammer symbol recomputed per

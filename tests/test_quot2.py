@@ -311,6 +311,17 @@ def reference_formula(instance):
     return Fraction(1, 2) * binomial(2 * p, p) * sd**2 - Fraction(2) ** (p - 1) * correction
 
 
+# (factor dimensions, roots) of the benchmark ladder's rungs
+LADDER_RUNGS = [
+    ((2,), ((0,), (1,))),
+    ((2, 2), ((0, 0), (1, 0), (0, 1))),
+    ((4,), ((0,), (1,), (2,), (-1,))),
+    ((6,), ((0,), (1,), (2,), (-1,), (3,))),
+    ((3, 3), ((0, 0), (1, 0), (0, 1))),
+    ((2, 2, 2), ((0, 0, 0), (1, 1, 0))),
+]
+
+
 def test_closed_routes_match_their_class_sum_form():
     P3 = ProjProduct((3,))
     P2xP1 = ProjProduct((2, 1))
@@ -324,11 +335,35 @@ def test_closed_routes_match_their_class_sum_form():
         (P2, bundle(P2, (1,), (0,)), Fraction(1, 2) * hyperplane(P2, 0)),
         (P1xP1, bundle(P1xP1, (0, 0)), Fraction(1, 3) * divisor_from_vector(P1xP1, (1, 0))),
     ]
+    # the six ladder rungs, d = 2..6 and r = 2..5, at n = 2: each has rows
+    # with d - k even, whose middle pair i = j is formed once, and rows with
+    # d - k odd
+    for dims, roots in LADDER_RUNGS:
+        space = ProjProduct(dims)
+        cases.append((space, bundle(space, *roots), 2 * divisor_all_ones(space)))
     for space, E, L in cases:
         instance = Quot2Instance(space, E, L)
         closed = quot2._fibre_integrals_closed(instance, segre_total(twist(E, L)))
         assert closed == reference_fibre_integrals(instance)
         assert degree2_formula(instance) == reference_formula(instance)
+
+
+@pytest.mark.parametrize(
+    "corrupt_kj",
+    [(0, 0), (0, 2), (0, 1)],
+    ids=["off-middle-low", "off-middle-high", "middle"],
+)
+def test_formula_cross_check_fires_on_one_corrupted_a_value(monkeypatch, corrupt_kj):
+    # on P2 (d = 2) the pairs of row k = 0 are (s_2, s_0) and the middle
+    # (s_1, s_1); every a-value enters the formula, so one wrong value in
+    # either weight a_j + a_i, or in a middle weight a_j, shows
+    def corrupted(r, d, k, j):
+        return a_coeff(r, d, k, j) + ((k, j) == corrupt_kj)
+
+    monkeypatch.setattr(quot2, "a_coeff", corrupted)
+    instance = inst(P2, bundle(P2, (0,), (1,)), 2)
+    with pytest.raises(CrossCheckError, match="degree pipelines disagree"):
+        degree2_all(instance)
 
 
 def test_projbundle_direct_check_fires_on_corrupted_closed_integrals(monkeypatch):
