@@ -35,7 +35,6 @@ from .quot2 import (
     degree2_polynomial,
     degree2_projbundle,
     delta2_classes,
-    diagonal_multiple,
     mu2_classes,
 )
 from .selftest import run_selftest
@@ -211,6 +210,14 @@ def _parse_space(text: str):
     return _parse_base(data)
 
 
+def _rational(text: str) -> Fraction:
+    """A rational flag value such as -1/2, with U+2212 read as a minus sign."""
+    try:
+        return Fraction(text.replace("\u2212", "-"))
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in {text!r}") from None
+
+
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
@@ -295,7 +302,8 @@ def _cmd_delta2(args) -> int:
     if k is not None and not 0 <= k <= 2 * d:
         raise DomainError("k out of range")
     deltas = delta2_classes(S, E, d if k is None else max(d, k))
-    out = {"constant": str(diagonal_multiple(S, deltas[d][0]))}
+    # the degree-d span is the one class 2 Delta, labelled "1"; no terms when delta_d = 0
+    out = {"constant": str(dict(deltas[d][1].coefficients).get("1", 0))}
     if k is not None:
         delta, certificate = deltas[k]
         out["k"] = k
@@ -339,7 +347,7 @@ def _cmd_grassmann(args) -> int:
 
 
 def _cmd_jacobi(args) -> int:
-    params = JacobiParams(Fraction(args.alpha), Fraction(args.beta), args.n, Fraction(args.z))
+    params = JacobiParams(_rational(args.alpha), _rational(args.beta), args.n, _rational(args.z))
     value = jacobi_hyp(params)
     try:
         finite = jacobi_finite_sum(params)
@@ -367,12 +375,12 @@ def _cmd_localise(args) -> int:
 
 
 def _cmd_beauville(args) -> int:
-    _emit({"value": str(beauville_k3(args.l, Fraction(args.c1sq)))})
+    _emit({"value": str(beauville_k3(args.l, _rational(args.c1sq)))})
     return 0
 
 
 def _cmd_mu_p1_coeffs(args) -> int:
-    coeffs = [Fraction(x.replace("−", "-")) for x in args.poly.split(",")]
+    coeffs = [_rational(x) for x in args.poly.split(",")]
     poly = DegreePolynomial(tuple(coeffs))
     values = mu_p1_coeffs(args.r, args.l, poly)
     _emit({"a": [str(v) for v in values]})

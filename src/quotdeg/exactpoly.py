@@ -284,17 +284,6 @@ class RingDescriptor:
         parts = [f"{n}^{e}" for n, e in zip(self.names, mono) if e]
         return "*".join(parts) if parts else "1"
 
-    def monomial_from_str(self, text: str) -> Monomial:
-        expo = [0] * self.ngens
-        if text.strip() != "1":
-            index = {n: i for i, n in enumerate(self.names)}
-            for part in text.split("*"):
-                name, _, e = part.strip().partition("^")
-                if name not in index:
-                    raise ValueError(f"unknown generator {name!r}")
-                expo[index[name]] += int(e) if e else 1
-        return tuple(expo)
-
     @cached_property
     def _block_signatures(self) -> tuple:
         """Per block: its truncations and relations in block-local indices,
@@ -647,14 +636,6 @@ class TruncPoly:
 
     def to_dict(self) -> dict[str, str]:
         return {self.ring.monomial_str(m): str(c) for m, c in self.sorted_terms()}
-
-    @classmethod
-    def from_dict(cls, ring: RingDescriptor, data: Mapping[str, str]) -> "TruncPoly":
-        items = []
-        for mono_s, coeff_s in data.items():
-            coeff = Fraction(str(coeff_s).replace("−", "-"))
-            items.append((ring.monomial_from_str(mono_s), coeff))
-        return cls(ring, items)
 
 
 def top_pairing(a: TruncPoly, b: TruncPoly) -> Fraction:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .errors import DomainError
+from .errors import CrossCheckError, DomainError
 
 __all__ = ["schubert_degree", "catalan_degree", "syt_count"]
 
@@ -24,7 +24,8 @@ def schubert_degree(l: int, r: int) -> int:
     den = factorial(r - l)
     for k in range(1, l):
         den *= factorial(r - l + k)
-    assert num % den == 0
+    if num % den:
+        raise CrossCheckError(f"Grassmannian degree {num}/{den} is not an integer")
     return num // den
 
 

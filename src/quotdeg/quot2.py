@@ -9,8 +9,9 @@ Pipelines, which must agree exactly on every instance:
   a_j + a_i, and every a-value is evaluated, so each is cross-checked;
 * the projective-bundle route: the two-point Hilbert scheme degree formula
   evaluated through fibre integrals I_m over P(E twisted), each I_m computed
-  both from its closed form (one integral per unordered Segre pair) and from
-  its definition (with z^0..z^p from one running product);
+  both from its closed form in Segre classes of the twisted bundle on S (one
+  integral per unordered Segre pair) and from its definition over P(E) with
+  O(1) twisted by L, which is P(E twisted); so one P(E) serves every twist;
 * the geometric route: the degree of the two-point Hilbert scheme of P(E)
   for the divisor (pullback of c1 L) + z.
 
@@ -18,7 +19,9 @@ The class-level computation pushes powers of the tautological divisor of
 the two-point Hilbert scheme of P(E) down to S x S; the double-cover factor
 of the blow-up model cancels against the symmetrisation doubling, and the
 result is asserted to be block-swap invariant rather than trusting that
-cancellation silently.
+cancellation silently.  In degree d the diagonal span holds one class, the
+symmetrised diagonal 2 Delta labelled "1", so the degree-d membership
+certificate carries the defect constant c with delta_d = c * 2 Delta.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .varieties import (
     SplitBundle,
     boxsum,
     bundle_power_pushforward,
-    diagonal_class,
     divisor_from_vector,
     integrate,
     integrate_product,
@@ -65,7 +67,6 @@ __all__ = [
     "degree2_polynomial",
     "mu2_classes",
     "delta2_classes",
-    "diagonal_multiple",
 ]
 
 
@@ -162,21 +163,23 @@ def degree2_projbundle(inst: Quot2Instance) -> Fraction:
     """Projective-bundle pipeline through the fibre integrals I_m.
 
     Each I_m is also recomputed from its definition as an integral over
-    P(E twisted), with z^0..z^p taken from one running product; any
-    mismatch aborts the run.
+    P(E twisted), taken as P(E) with O(1) twisted by L: the integrand is
+    M^{p-m} s_m(P(E)) with M = (pullback of c1 L) + z, and M^0..M^p come
+    from one running product.  The closed side twists on S and the direct
+    side pulls L back, so a wrong twist shows as a mismatch, which aborts
+    the run.
     """
     S, d, p = inst.S, inst.d, inst.p
-    EL = twist(inst.E, inst.Lc1)
-    segre_EL = segre_total(EL)
+    segre_EL = segre_total(twist(inst.E, inst.Lc1))
     closed = _fibre_integrals_closed(inst, segre_EL)
-    X = ProjBundle(S, EL)
-    z = zeta(X)
-    z_powers = [TruncPoly.one(z.ring), z]
+    X = ProjBundle(S, inst.E)
+    M = pullback_to_bundle(X, inst.Lc1) + zeta(X)
+    M_powers = [TruncPoly.one(M.ring), M]
     for _ in range(p - 1):
-        z_powers.append(z_powers[-1] * z)
+        M_powers.append(M_powers[-1] * M)
     segre_X = segre_scheme(X)
     for m in range(p + 1):
-        direct = integrate_product(X, z_powers[p - m], segre_X.graded_part(m))
+        direct = integrate_product(X, M_powers[p - m], segre_X.graded_part(m))
         if direct != closed[m]:
             raise CrossCheckError(
                 f"fibre integral I_{m} mismatch: closed {closed[m]}, direct {direct}"
@@ -279,7 +282,8 @@ def delta2_classes(
 
     Each difference vanishes below the dimension of S and in every degree
     must be certified as a combination of diagonal pushforwards; otherwise
-    the conventions are corrupted and the computation aborts.
+    the conventions are corrupted and the computation aborts.  The degree-d
+    certificate's one coefficient, labelled "1", is the defect constant.
     """
     d = S.dimension
     out = []
@@ -293,15 +297,3 @@ def delta2_classes(
         out.append((delta, certificate))
     return out
 
-
-def diagonal_multiple(S: ProjProduct, delta: SymClassRep) -> Fraction:
-    """Constant c with delta = c * (symmetrised diagonal), for the defect
-    class in degree d; raises if delta is not such a multiple."""
-    if delta.rep.is_zero():
-        return Fraction(0)
-    reference = 2 * diagonal_class(S)
-    mono, coeff = next(iter(reference.terms.items()))
-    c = delta.rep.coefficient(mono) / coeff
-    if delta.rep != c * reference:
-        raise CrossCheckError("degree-d defect class is not proportional to the diagonal")
-    return c

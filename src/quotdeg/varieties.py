@@ -33,7 +33,6 @@ from typing import Sequence, Union
 
 from .errors import DomainError
 from .exactpoly import (
-    Monomial,
     Relation,
     RingDescriptor,
     TruncPoly,
@@ -139,42 +138,35 @@ def power_ring(space: SpaceDescriptor, l: int) -> RingDescriptor:
 
     Hyperplane generators are numbered consecutively across blocks
     (h1..hk, h(k+1)..h(2k), ...); the bundle generator of block m is
-    named z (l = 1) or zm.
+    named z (l = 1) or zm.  A product of projective spaces is the case
+    without z.
     """
     if l < 1:
         raise ValueError("l must be positive")
-    if isinstance(space, ProjProduct):
-        k = len(space.dims)
-        names = tuple(f"h{m * k + j + 1}" for m in range(l) for j in range(k))
-        truncs = tuple(d + 1 for _ in range(l) for d in space.dims)
-        blocks = tuple(tuple(range(m * k, (m + 1) * k)) for m in range(l))
-        return RingDescriptor(names, truncs, blocks)
-    base, bundle = space.base, space.bundle
-    k = len(base.dims)
-    r = bundle.rank
-    width = k + 1
-    names, truncs, blocks = [], [], []
+    bundle = space.bundle if isinstance(space, ProjBundle) else None
+    dims = space.dims if bundle is None else space.base.dims
+    k = len(dims)
+    width = k + (bundle is not None)
+    if bundle is not None:
+        # block-local terms of z^r = sum_i (-1)^(i-1) c_i(E) z^(r-i)
+        r = bundle.rank
+        chern = chern_total(bundle)
+        local = [
+            (mono + (r - i,), Fraction(-1) ** (i - 1) * coeff)
+            for i in range(1, r + 1)
+            for mono, coeff in chern.graded_part(i).terms.items()
+        ]
+    names, truncs, blocks, relations = [], [], [], []
     for m in range(l):
         names.extend(f"h{m * k + j + 1}" for j in range(k))
-        names.append("z" if l == 1 else f"z{m + 1}")
-        truncs.extend(d + 1 for d in base.dims)
-        truncs.append(r)
+        truncs.extend(d + 1 for d in dims)
         blocks.append(tuple(range(m * width, (m + 1) * width)))
-    chern = chern_total(bundle)
-    relations = []
-    for m in range(l):
-        z_index = m * width + k
-        terms: list[tuple[Monomial, Fraction]] = []
-        for i in range(1, r + 1):
-            ci = chern.graded_part(i)
-            sign = Fraction(-1) ** (i - 1)
-            for mono, coeff in ci.terms.items():
-                expo = [0] * (l * width)
-                for j, e in enumerate(mono):
-                    expo[m * width + j] = e
-                expo[z_index] = r - i
-                terms.append((tuple(expo), sign * coeff))
-        relations.append(Relation(z_index, r, tuple(terms)))
+        if bundle is not None:
+            names.append("z" if l == 1 else f"z{m + 1}")
+            truncs.append(r)
+            before, after = (0,) * (m * width), (0,) * ((l - 1 - m) * width)
+            terms = tuple((before + mono + after, coeff) for mono, coeff in local)
+            relations.append(Relation(m * width + k, r, terms))
     return RingDescriptor(tuple(names), tuple(truncs), tuple(blocks), tuple(relations))
 
 

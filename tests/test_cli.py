@@ -650,3 +650,37 @@ def test_missing_file_and_broken_inline_json_are_errors(capsys, tmp_path):
     assert code == 2 and "No such file or directory" in json.loads(out)["error"]
     code, out = run(capsys, ["degree2", "--input", '{"base": ', "--n", "1"])
     assert code == 2 and "Expecting value" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["beauville", "--l", "2", "--c1sq", "1/0"],
+        ["jacobi", "--alpha", "1/0", "--beta", "1", "--n", "2", "--z", "1"],
+        ["jacobi", "--alpha", "1", "--beta", "1/0", "--n", "2", "--z", "1"],
+        ["jacobi", "--alpha", "1", "--beta", "1", "--n", "2", "--z", "1/0"],
+        ["mu-p1-coeffs", "--r", "2", "--l", "2", "--poly", "1/0,2"],
+    ],
+    ids=["beauville-c1sq", "jacobi-alpha", "jacobi-beta", "jacobi-z", "mu-p1-coeffs-poly"],
+)
+def test_zero_denominator_is_invalid_input(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "zero denominator in '1/0'"}
+
+
+def test_every_rational_flag_reads_the_unicode_minus(capsys):
+    beauville = ["beauville", "--l", "3", "--c1sq"]
+    assert run(capsys, beauville + ["−1/2"]) == run(capsys, beauville + ["-1/2"])
+    jacobi = ["jacobi", "--n", "2"]
+    unicode = jacobi + ["--alpha", "−1/3", "--beta", "−1/3", "--z", "−1/3"]
+    ascii_ = jacobi + ["--alpha=-1/3", "--beta=-1/3", "--z=-1/3"]
+    assert run(capsys, unicode) == run(capsys, ascii_) == (0, '{"value": "-25/81"}\n')
+    poly = ["mu-p1-coeffs", "--r", "2", "--l", "2", "--poly"]
+    assert run(capsys, poly + ["6,−16,12"]) == (0, '{"a": ["2", "-4", "12"]}\n')
+
+
+def test_bad_rational_text_keeps_its_message(capsys):
+    code, out = run(capsys, ["beauville", "--l", "2", "--c1sq", "x"])
+    assert code == 2
+    assert json.loads(out) == {"error": "Invalid literal for Fraction: 'x'"}

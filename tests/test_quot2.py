@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from quotdeg import quot2
+from quotdeg.cli import main
 from quotdeg.errors import CrossCheckError, DomainError
 from quotdeg.exactpoly import TruncPoly, binomial
 from quotdeg.jacobi import a_coeff
@@ -14,7 +16,6 @@ from quotdeg.quot2 import (
     degree2_polynomial,
     degree2_projbundle,
     delta2_classes,
-    diagonal_multiple,
     divisor_all_ones,
     mu2_classes,
 )
@@ -146,14 +147,16 @@ def test_delta2_membership_certified():
 
 
 def test_delta2_constant_line():
-    delta = delta2_classes(P1, bundle(P1, (0,)), 1)[1][0]
-    assert diagonal_multiple(P1, delta) == Fraction(-1, 2)
+    # in degree d the span is the one class 2 Delta, labelled "1"
+    certificate = delta2_classes(P1, bundle(P1, (0,)), 1)[1][1]
+    assert certificate.coefficients == (("1", Fraction(-1, 2)),)
 
 
 def test_delta2_constant_scales_diagonal():
     E = bundle(P2, (1,), (0,))
     delta = delta2_classes(P2, E)[2][0]
-    c = diagonal_multiple(P2, delta2_classes(P2, E, 2)[2][0])
+    [(label, c)] = delta2_classes(P2, E, 2)[2][1].coefficients
+    assert label == "1"
     assert delta.rep == c * 2 * diagonal_class(P2)
 
 
@@ -177,8 +180,9 @@ def test_delta2_classes_match_per_degree_calls(space, roots):
         assert delta == delta2_classes(space, E, k)[k][0]
         assert certificate == diagonal_membership(space, delta)
     d = space.dimension
-    constant = diagonal_multiple(space, delta2_classes(space, E, d)[d][0])
-    assert constant == diagonal_multiple(space, table[d][0])
+    certificate = delta2_classes(space, E, d)[d][1]
+    assert certificate == table[d][1]
+    assert {label for label, _ in certificate.coefficients} <= {"1"}
 
 
 def off_diagonal_square():
@@ -231,10 +235,10 @@ def test_degree2_polynomial_rejects_a_corrupted_prediction(monkeypatch):
         degree2_polynomial(P1, bundle(P1, (0,), (0,)))
 
 
-def test_diagonal_multiple_rejects_off_diagonal_class():
-    assert diagonal_multiple(P2, SymClassRep(3 * 2 * diagonal_class(P2))) == 3
-    with pytest.raises(CrossCheckError, match="not proportional"):
-        diagonal_multiple(P2, off_diagonal_square())
+def test_degree_d_certificate_rejects_off_diagonal_class():
+    certificate = diagonal_membership(P2, SymClassRep(3 * 2 * diagonal_class(P2)))
+    assert certificate.coefficients == (("1", 3),)
+    assert not diagonal_membership(P2, off_diagonal_square()).member
 
 
 def test_leading_term_split():
@@ -404,3 +408,44 @@ def test_mu2_twisting_law():
             for j in range(k + 1):
                 expected = expected + binomial(2 * (r - 1) + k, k - j) * box ** (k - j) * mu[j].rep
             assert mu_twisted[k].rep == expected
+
+
+P1xP2_RANK3 = json.dumps(
+    {
+        "base": {"type": "projective_product", "dims": [1, 2]},
+        "bundle": {"roots": [[1, 2], [2, 1], [0, 1]]},
+        "twist": [1, 1],
+    }
+)
+
+
+@pytest.mark.parametrize("points", [["--n", "2"], ["--sweep", "n=0..5"]], ids=["n", "sweep"])
+def test_projbundle_pipeline_catches_a_corrupted_twist(capsys, monkeypatch, points):
+    # the closed side twists on S and the direct side pulls L back to P(E),
+    # so a wrong twist no longer passes both sides of the comparison
+    argv = ["degree2", "--input", P1xP2_RANK3, "--pipeline", "projbundle", *points]
+    assert main(argv) == 0
+    capsys.readouterr()
+    # roots + 2L in place of roots + L, wherever quot2 twists
+    monkeypatch.setattr(
+        quot2, "twist", lambda E, L: SplitBundle(tuple(root + 2 * L for root in E.roots))
+    )
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().out)["error"].startswith("fibre integral I_0 mismatch")
+
+
+def test_projbundle_sweep_builds_one_bundle_ring(capsys):
+    # every twist integrates over the same P(E): the base ring and the ring
+    # of P(E) are all a sweep adds to the ring cache, however many points
+    instance = json.dumps(
+        {
+            "base": {"type": "projective_product", "dims": [3, 1]},
+            "bundle": {"roots": [[3, -2], [1, 4]]},
+            "twist": [2, 1],
+        }
+    )
+    before = power_ring.cache_info().currsize
+    argv = ["degree2", "--input", instance, "--pipeline", "projbundle", "--sweep", "n=-10..19"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 31
+    assert power_ring.cache_info().currsize - before <= 2

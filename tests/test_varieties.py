@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from quotdeg.errors import DomainError
-from quotdeg.exactpoly import TruncPoly, permute_blocks
+from quotdeg.exactpoly import Monomial, Relation, RingDescriptor, TruncPoly, permute_blocks
 from quotdeg.varieties import (
     ProjBundle,
     ProjProduct,
@@ -492,3 +492,69 @@ def test_map_blocks_rejects_blocks_with_other_truncations_or_relations():
     # a block of another shape
     with pytest.raises(DomainError):
         map_blocks(hyperplane(P1xP1, 0), power_ring(P2, 2), (0,))
+
+
+def reference_power_ring(space, l):
+    # power_ring as it was built before both space types shared one loop
+    if l < 1:
+        raise ValueError("l must be positive")
+    if isinstance(space, ProjProduct):
+        k = len(space.dims)
+        names = tuple(f"h{m * k + j + 1}" for m in range(l) for j in range(k))
+        truncs = tuple(d + 1 for _ in range(l) for d in space.dims)
+        blocks = tuple(tuple(range(m * k, (m + 1) * k)) for m in range(l))
+        return RingDescriptor(names, truncs, blocks)
+    base, bundle = space.base, space.bundle
+    k = len(base.dims)
+    r = bundle.rank
+    width = k + 1
+    names, truncs, blocks = [], [], []
+    for m in range(l):
+        names.extend(f"h{m * k + j + 1}" for j in range(k))
+        names.append("z" if l == 1 else f"z{m + 1}")
+        truncs.extend(d + 1 for d in base.dims)
+        truncs.append(r)
+        blocks.append(tuple(range(m * width, (m + 1) * width)))
+    chern = chern_total(bundle)
+    relations = []
+    for m in range(l):
+        z_index = m * width + k
+        terms: list[tuple[Monomial, Fraction]] = []
+        for i in range(1, r + 1):
+            ci = chern.graded_part(i)
+            sign = Fraction(-1) ** (i - 1)
+            for mono, coeff in ci.terms.items():
+                expo = [0] * (l * width)
+                for j, e in enumerate(mono):
+                    expo[m * width + j] = e
+                expo[z_index] = r - i
+                terms.append((tuple(expo), sign * coeff))
+        relations.append(Relation(z_index, r, tuple(terms)))
+    return RingDescriptor(tuple(names), tuple(truncs), tuple(blocks), tuple(relations))
+
+
+P1xP2 = ProjProduct((1, 2))
+RING_SPACES = [P1, P2, P1xP1, P1xP2] + [
+    ProjBundle(base, line_bundles(base, *roots))
+    for base, bundles in (
+        (P1, [((0,),), ((2,), (-1,)), ((1,), (0,), (-3,))]),
+        (P1xP2, [((1, -1),), ((0, 0), (2, 1)), ((1, 2), (-1, 0), (0, 1))]),
+    )
+    for roots in bundles
+]
+
+
+def space_id(space):
+    if isinstance(space, ProjProduct):
+        return "x".join(f"P{d}" for d in space.dims)
+    return f"P(E)-r{space.bundle.rank}-over-{space_id(space.base)}"
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("space", RING_SPACES, ids=space_id)
+def test_power_ring_matches_the_per_type_builder(space, l):
+    ring, reference = power_ring(space, l), reference_power_ring(space, l)
+    assert ring.names == reference.names
+    assert ring.truncations == reference.truncations
+    assert ring.blocks == reference.blocks
+    assert ring.relations == reference.relations
