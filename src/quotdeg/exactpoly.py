@@ -698,32 +698,40 @@ def block_products(
     its packed keys just add, with no kernel product and no rewrite."""
     guards = ring._layout.trunc_guard | ring._layout.rel_guard
     values = (1 << guards.bit_length()) - 1 - guards  # the fields tile the bits below
+    # once per distinct factor: its support and its (degree, packed key,
+    # numerator) terms, kept with the factor so that its id is not reused
+    seen: dict[int, tuple[TruncPoly, int, list[tuple[int, int, int]]]] = {}
     rows = []
     size = 1
     for coeff, factors in terms:
         if not coeff:
             continue
-        term_den, used, degree = coeff.denominator, 0, 0
+        term_den, used, degree, term = coeff.denominator, 0, 0, []
         for a in factors:
-            if a.ring is not ring and a.ring != ring:
-                raise RingMismatchError("block product factors must live on the product ring")
-            # the OR of the factor's keys, each nonzero field carried into its
-            # guard bit: one bit per generator the factor uses
-            support = (reduce(or_, chain.from_iterable(a._buckets), 0) + values) & guards
+            entry = seen.get(id(a))
+            if entry is None:
+                if a.ring is not ring and a.ring != ring:
+                    raise RingMismatchError("block product factors must live on the product ring")
+                # the OR of the factor's keys, each nonzero field carried into
+                # its guard bit: one bit per generator the factor uses
+                support = (reduce(or_, chain.from_iterable(a._buckets), 0) + values) & guards
+                placed = [(d, k, c) for d, b in enumerate(a._buckets) for k, c in b.items()]
+                entry = seen[id(a)] = (a, support, placed)
+            _, support, placed = entry
             if used & support:
                 raise ValueError("the factors of a block product must use disjoint generators")
             used |= support
             term_den *= a._den
             degree += len(a._buckets) - 1
-        rows.append((coeff.numerator, factors, term_den))
+            term.append(placed)
+        rows.append((coeff.numerator, term, term_den))
         size = max(size, degree + 1)
     den = lcm(*(row[2] for row in rows))
     buckets: list[dict] = [{} for _ in range(size)]
     summed = False
-    for num, factors, term_den in rows:
+    for num, term, term_den in rows:
         partial = [(0, 0, 1)]  # (degree, packed key, numerator) of the product so far
-        for a in factors:
-            placed = [(d, k, c) for d, b in enumerate(a._buckets) for k, c in b.items()]
+        for placed in term:
             if partial == [(0, 0, 1)]:
                 partial = placed  # the product so far is the unit
             else:

@@ -22,7 +22,21 @@ and the fibre of the twisted tautological sheaf has characters
 
 Instead of symbolic rational functions, each sum is evaluated at several
 concrete generic integer weight draws; all draws must agree exactly and the
-common value must be an integer.
+common value must be an integer.  Any draw on which no tangent weight
+vanishes gives the exact value, so the draws are as small as that allows,
+which keeps every integer of the sum short.  A draw takes w from 1..9, the
+accepted draws of one call pairwise distinct (an error that depends only on
+w then cannot agree across them), and each e_i uniformly from [-R, R) with
+
+  R = max(2 r (r - 1) (2l - 1), 16).
+
+A tangent weight of the pair {i, j} vanishes only when e_j - e_i lies in
+w X, where X is [1 - l, l - 1] (at 0) together with its shift by a_i - a_j
+(at infinity), so |X| <= 2 (2l - 1); the pairs i = j give nonzero
+multiples of w.  Given e_i, e_j - e_i takes each value with probability
+at most 1 / (2R), so by the union bound over the r (r - 1) / 2 pairs a
+draw is rejected with probability at most r (r - 1) (2l - 1) / (2R) <= 1/4,
+for every w and every a.
 
 The sum is evaluated side by side: the weights at 0 depend only on b and
 those at infinity only on c (and a), so each draw builds, for every length
@@ -81,6 +95,8 @@ __all__ = [
 
 # generic weight draws per evaluation; they must all agree exactly
 _DRAWS = 3
+# the coordinate characters a draw takes w from
+_W_RANGE = range(1, 10)
 
 
 class NonGenericWeightsError(RuntimeError):
@@ -100,10 +116,12 @@ class WeightAssignment:
             raise DomainError("the coordinate character must be nonzero")
 
 
-def _draw(seed: int, index: int, r: int) -> WeightAssignment:
+def _draw(seed: int, index: int, r: int, bound: int, taken: Sequence[int]) -> WeightAssignment:
+    """Each e_i uniform in [-bound, bound), and w in `_W_RANGE` but not in
+    `taken`, the w of the draws already accepted."""
     rng = random.Random(1000003 * seed + index)
-    e = tuple(rng.randrange(-(10**6), 10**6) for _ in range(r))
-    w = rng.randrange(1, 10**3)
+    e = tuple(rng.randrange(-bound, bound) for _ in range(r))
+    w = rng.choice([w for w in _W_RANGE if w not in taken])
     return WeightAssignment(e, w)
 
 
@@ -217,10 +235,11 @@ def _localised_values(
         raise DomainError("need r >= 1 and l >= 0")
     # the compositions of each length k <= l into r parts, shared by the draws
     by_length = [list(compositions(k, r)) for k in range(l + 1)]
-    per_draw = []
+    bound = max(2 * r * (r - 1) * (2 * l - 1), 16)  # R: a draw fails with probability <= 1/4
+    per_draw, taken = [], []
     for index in range(_DRAWS):
         for attempt in range(200):
-            wt = _draw(seed, 7919 * index + attempt, r)
+            wt = _draw(seed, 7919 * index + attempt, r, bound, taken)
             try:
                 tables = _side_tables(a, l, wt, by_length)
                 break
@@ -228,6 +247,7 @@ def _localised_values(
                 continue
         else:
             raise CrossCheckError("could not find generic weights")
+        taken.append(wt.w)
         per_draw.append([_table_sum(tables, r, l, n, wt.w) for n in ns])
     out = []
     for values in zip(*per_draw):

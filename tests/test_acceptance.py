@@ -73,6 +73,17 @@ def test_criteria_fail_under_python_O():
     assert [c["status"] for c in report["criteria"]] == ["fail"]
 
 
+def test_failed_criterion_names_the_instance_and_both_values(monkeypatch):
+    from quotdeg import selftest
+
+    true_degree = selftest.schubert_degree
+    monkeypatch.setattr(selftest, "schubert_degree", lambda l, r: true_degree(l, r) + 1)
+    (criterion,) = selftest.run_selftest("grassmann")["criteria"]
+    assert criterion["status"] == "fail"
+    # the first check: schubert_degree(1, 2) = 1 + 1 against syt_count(1, 1) = 1
+    assert criterion["detail"] == "CrossCheckError: schubert_degree vs syt_count at l=1, r=2: 2 != 1"
+
+
 def test_package_has_no_assert_statement():
     """python -O deletes assert statements, so no check in the package is one."""
     found = [

@@ -1,8 +1,12 @@
+import inspect
 import itertools
+import json
 import random
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 from typing import Sequence
 
 import pytest
@@ -254,7 +258,7 @@ def test_kernel_matches_pointwise_recipe():
     outcomes = []
     for r in (1, 2, 3, 4):
         for l in range(6):
-            # small weights make many draws degenerate; large ones are the real draws
+            # small weights make many draws degenerate; large ones make none
             for bound in (4,) * 12 + (10**6,) * 2:
                 a = tuple(rng.randint(-2, 2) for _ in range(r))
                 e = tuple(rng.randint(-bound, bound) for _ in range(r))
@@ -281,11 +285,11 @@ def test_degenerate_first_attempts_are_redrawn(monkeypatch):
     real_draw = localise._draw
     attempts = []
 
-    def draw(seed, index, r):
+    def draw(seed, index, r, bound, taken):
         attempts.append(index)
         if index % 7919 == 0:
             return WeightAssignment((0,) * r, 1)
-        return real_draw(seed, index, r)
+        return real_draw(seed, index, r, bound, taken)
 
     monkeypatch.setattr(localise, "_draw", draw)
     assert plucker_degree_localised(2, (1, 0), 3, 2) == expected
@@ -295,7 +299,7 @@ def test_degenerate_first_attempts_are_redrawn(monkeypatch):
 def test_exhausted_redraws_raise(monkeypatch):
     attempts = []
 
-    def draw(seed, index, r):
+    def draw(seed, index, r, bound, taken):
         attempts.append(index)
         return WeightAssignment((0,) * r, 1)
 
@@ -313,11 +317,11 @@ def test_polynomial_matches_per_twist_degrees(monkeypatch):
     attempts = []
     skips = []
 
-    def draw(seed, index, r):
+    def draw(seed, index, r, bound, taken):
         attempts.append(index)
         if index % 7919 < skips[index // 7919]:
             return WeightAssignment((0,) * r, 1)  # degenerate for r >= 2 and l >= 1
-        return real_draw(seed, index, r)
+        return real_draw(seed, index, r, bound, taken)
 
     monkeypatch.setattr(localise, "_draw", draw)
     redraws = 0
@@ -394,7 +398,9 @@ def test_row_multiple_missing_a_factor_fails_the_cross_check(monkeypatch):
 
             def row_multiples(chars, w, l, k=k):
                 multiples = real_row_multiples(chars, w, l)
-                multiples[k] //= chars[1] - chars[0] + (k - 1) * w
+                factor = chars[1] - chars[0] + (k - 1) * w
+                if factor:  # else M_k = 0 and the draw is rejected as degenerate
+                    multiples[k] //= factor
                 return multiples
 
             monkeypatch.setattr(localise, "_row_multiples", row_multiples)
@@ -414,3 +420,153 @@ def test_compositions_built_once_per_call(monkeypatch):
     monkeypatch.setattr(localise, "compositions", counted)
     degree_polynomial_localised(3, (1, 0, -1), 4)
     assert sorted(calls) == [(k, 3) for k in range(5)]
+
+
+# -- the weight draws: small, sized to (r, l), distinct in w
+
+
+def _accepted_draws(monkeypatch):
+    """Record each call's accepted draws (those whose side tables were built)
+    and count every attempt."""
+    accepted, attempts = [], []
+    real_draw, real_side_tables = localise._draw, localise._side_tables
+
+    def draw(seed, index, r, bound, taken):
+        attempts.append(index)
+        return real_draw(seed, index, r, bound, taken)
+
+    def side_tables(a, l, wt, by_length):
+        tables = real_side_tables(a, l, wt, by_length)
+        accepted.append(wt)
+        return tables
+
+    monkeypatch.setattr(localise, "_draw", draw)
+    monkeypatch.setattr(localise, "_side_tables", side_tables)
+    return accepted, attempts
+
+
+def _bound(r, l):
+    return max(2 * r * (r - 1) * (2 * l - 1), 16)
+
+
+def test_accepted_draws_have_distinct_w_and_short_weights(monkeypatch):
+    # every tangent weight is at most 2R + (l + max |a_i - a_j|) w_max, so a
+    # drift back to wide draws fails here
+    accepted, _ = _accepted_draws(monkeypatch)
+    rng = random.Random(23)
+    for r in (1, 2, 3, 4):
+        for l in range(5):
+            for seed in range(3):
+                a = tuple(rng.randint(-2, 2) for _ in range(r))
+                accepted.clear()
+                plucker_degree_localised(r, a, l, 2, seed=seed)
+                assert len(accepted) == 3
+                assert len({wt.w for wt in accepted}) == 3, accepted
+                limit = 2 * _bound(r, l) + (l + max(a) - min(a)) * 9
+                for wt in accepted:
+                    assert all(1 <= wt.w <= 9 and abs(ei) <= _bound(r, l) for ei in wt.e), wt
+                    for pt in enumerate_fixed_points(r, l):
+                        assert max(map(abs, tangent_weights(pt, a, wt)), default=0) <= limit
+
+
+def test_draws_are_rarely_rejected(monkeypatch):
+    # a draw is rejected with probability at most 1/4 (module docstring), so
+    # over the oracle shapes the mean number of attempts per accepted draw
+    # stays at most 1.5; the sums do not affect the draws and are skipped
+    _, attempts = _accepted_draws(monkeypatch)
+    monkeypatch.setattr(localise, "_table_sum", lambda tables, r, l, n, w: Fraction(0))
+    rng = random.Random(2026)
+    calls = 0
+    for r in (2, 3, 4):
+        for l in range(3, 8):
+            for seed in range(20):
+                a = tuple(rng.randint(-1, 2) for _ in range(r))
+                plucker_degree_localised(r, a, l, 0, seed=seed)
+                calls += 1
+    assert len(attempts) / (3 * calls) <= 1.5
+
+
+def test_large_instance_finds_generic_draws(monkeypatch):
+    # r = 6, l = 12 needs three accepted draws well inside the 200 attempts;
+    # the sum itself is too long for a unit test and is skipped
+    _, attempts = _accepted_draws(monkeypatch)
+    monkeypatch.setattr(localise, "_table_sum", lambda tables, r, l, n, w: Fraction(0))
+    plucker_degree_localised(6, (2, 1, 0, 0, -1, 3), 12, 1)
+    assert len(attempts) < 20
+
+
+def test_values_match_those_of_wide_draws():
+    # recorded with e_i uniform in [-10^6, 10^6) and w in 1..999
+    grid = json.loads((Path(__file__).parent / "localise_grid.json").read_text())
+    assert len(grid) == 96
+    for entry in grid:
+        r, a, l = entry["r"], tuple(entry["a"]), entry["l"]
+        expected = [Fraction(c) for c in entry["polynomial"]]
+        for seed in range(3):
+            assert list(degree_polynomial_localised(r, a, l, seed=seed)) == expected, entry
+            assert plucker_degree_localised(r, a, l, 3, seed=seed) == int(entry["degree_at_3"])
+
+
+def _mutant(old, new):
+    """A fresh copy of `localise` with the one occurrence of `old` in its
+    source replaced by `new`."""
+    source = inspect.getsource(localise)
+    assert source.count(old) == 1, old
+    module = types.ModuleType(localise.__name__)
+    module.__package__ = localise.__package__
+    exec(compile(source.replace(old, new), localise.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # the sign of the w-term of each summand's share of sinf
+        ("[[m * ej - w * t", "[[m * ej + w * t"),
+        # the diagonal pairs at infinity read as those at 0
+        ("dinf *= diagonal_inf[bj]", "dinf *= diagonal0[bj]"),
+        # the twist shift without its w
+        ("shift = n * w * (l - k)", "shift = n * (l - k)"),
+    ],
+)
+def test_weight_convention_errors_fail_the_draw_consensus(old, new):
+    """Each of these errors makes the draws disagree (the share and diagonal
+    errors on every draw, the shift error because the draws' w differ), at
+    every l >= 2 (at l <= 1 the share's w-term is zero) and n != 0, but for
+    r = 1 with a_1 + n = 0, where the share error gives 0 on every draw (the
+    closed form (n + a_1 - l + 1)^l on the line catches that).
+
+    Two other errors give consistent wrong values and pass the draws: the
+    exponent lr - 1 (which makes every degree 0) and e_inf without a (which
+    gives the degree of the trivial bundle).  The cross-module P^1 locks
+    catch those: see test_consistent_convention_errors_fail_the_quot2_lock."""
+    mutant = _mutant(old, new)
+    rng = random.Random(160)
+    for r in (1, 2, 3, 4):
+        for l in (2, 3, 4, 5):
+            for n in (1, 2, 3, 4):
+                for seed in (0, 1):
+                    a = tuple(rng.randint(-1, 2) for _ in range(r))
+                    if r == 1 and a[0] + n == 0:
+                        continue
+                    with pytest.raises(CrossCheckError):
+                        mutant.plucker_degree_localised(r, a, l, n, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("exponent = l * r\n", "exponent = l * r - 1\n"),
+        ("e_inf = [ej + aj * w for ej, aj in zip(e, a)]", "e_inf = list(e)"),
+    ],
+)
+def test_consistent_convention_errors_fail_the_quot2_lock(old, new):
+    from quotdeg.quot2 import degree2_polynomial
+    from quotdeg.varieties import ProjProduct, SplitBundle, hyperplane
+
+    mutant = _mutant(old, new)
+    P1 = ProjProduct((1,))
+    h = hyperplane(P1, 0)
+    roots = (1, 0)
+    E = SplitBundle(tuple(c * h for c in roots))
+    assert mutant.degree_polynomial_localised(2, roots, 2) != degree2_polynomial(P1, E)

@@ -460,6 +460,23 @@ def test_block_products_reject_shared_generators_and_foreign_factors():
         block_products(power_ring(X, 3), [(1, [h1])])
 
 
+def test_block_products_check_every_term_of_a_shared_factor():
+    # a factor's generator support and placed terms are formed once per
+    # call, but the disjointness test still runs on every term it is in
+    from quotdeg.exactpoly import block_products
+
+    X = ProjBundle(P2, line_bundles(P2, (0,), (1,)))
+    square = power_ring(X, 2)
+    h1, z1, h2, z2 = (TruncPoly.generator(square, i) for i in range(4))
+    shared = h1 + z2
+    terms = [(1, [shared, z1]), (2, [h2, shared]), (3, [z1, shared, h2 * z2])]
+    with pytest.raises(ValueError, match="disjoint"):
+        block_products(square, terms)
+    with pytest.raises(ValueError, match="disjoint"):
+        block_products(square, [(1, [shared, z1]), (1, [shared, shared])])
+    assert block_products(square, terms[:2]) == shared * z1 + 2 * h2 * shared
+
+
 def test_field_moves_match_the_term_dict_paths():
     from quotdeg.exactpoly import map_blocks
 
