@@ -290,10 +290,13 @@ def delta2_classes(
     for k, mu in enumerate(mu2_classes(S, E, k_max)):
         delta = SymClassRep(mu.rep - nu_class(S, E, 2, k).rep)
         if k < d and not delta.rep.is_zero():
-            raise CrossCheckError("diagonal-defect class fails to vanish below the dimension")
+            raise CrossCheckError(f"diagonal-defect class at k = {k} fails to vanish below d = {d}")
         certificate = diagonal_membership(S, delta)
         if not certificate.member:
-            raise CrossCheckError("diagonal-defect class escapes the diagonal span")
+            witness = certificate.to_json()["witness"]
+            raise CrossCheckError(
+                f"diagonal-defect class at k = {k} escapes the diagonal span: witness {witness}"
+            )
         out.append((delta, certificate))
     return out
 

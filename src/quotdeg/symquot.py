@@ -9,8 +9,8 @@ the S^l integral.
 The module provides the explicit multinomial classes attached to a split
 bundle, the leading term of the degree of the Pluecker embedding, the
 twisting identity, multi-divisor integrals, Beauville's K3 evaluation, the
-coefficient extraction for the projective line, and an exact linear-algebra
-certificate for membership in the span of diagonal pushforwards.
+coefficient extraction for the projective line, and a two-point certificate
+for membership in the span of diagonal pushforwards.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from .exactpoly import (
     block_products,
     compositions,
     map_blocks,
+    move_fields,
     permute_blocks,
 )
 from .varieties import (
     SpaceDescriptor,
     SplitBundle,
     boxsum,
-    diagonal_class,
+    diagonal_pushforward,
     integrate,
     integrate_product,
     power_ring,
@@ -54,7 +55,6 @@ __all__ = [
     "multint",
     "MembershipCertificate",
     "diagonal_membership",
-    "diagonal_span",
     "beauville_k3",
     "mu_p1_coeffs",
 ]
@@ -201,7 +201,8 @@ def multint(
 
 @dataclass(frozen=True)
 class MembershipCertificate:
-    """Outcome of an exact linear solve against the diagonal spanning set."""
+    """Membership of a two-point class in the diagonal span: the expressing
+    coefficients, or a witness functional that kills the span but not it."""
 
     member: bool
     coefficients: tuple[tuple[str, Fraction], ...] | None
@@ -223,105 +224,40 @@ def _ring_monomials(ring, degree: int):
             yield mono
 
 
-def _symmetrise(rep: TruncPoly, l: int) -> TruncPoly:
-    total = TruncPoly.zero(rep.ring)
-    for sigma in itertools.permutations(range(l)):
-        total = total + permute_blocks(rep, sigma)
-    return total
-
-
-def diagonal_span(S: SpaceDescriptor, l: int, degree: int) -> list[tuple[str, TruncPoly]]:
-    """Symmetrised pushforwards from the partial diagonal in the first two
-    blocks, times box monomials on the remaining blocks.
-
-    For 2 or 3 points this spans the image of classes supported off the
-    configuration space (and membership is decided against it); for larger l
-    the set is emitted with no completeness claim.
-    """
-    if l < 2:
-        raise DomainError("partial diagonals need at least two points")
-    ring = ring_of(S)
-    d = S.dimension
-    if degree < d:
-        return []
-    target = power_ring(S, l)
-    diag12 = map_blocks(diagonal_class(S), target, (0, 1))
-    # the diagonal factor's monomial sits in block 0, the others in 2..l-1;
-    # each monomial is placed in each of those blocks once
-    slots = (0, *range(2, l))
-    placed: dict[tuple[int, tuple[int, ...]], TruncPoly] = {}
-    span: list[tuple[str, TruncPoly]] = []
-    # one degree slot for the diagonal factor, one per remaining block
-    for degs in compositions(degree - d, l - 1):
-        choices = [list(_ring_monomials(ring, dd)) for dd in degs]
-        for monos in itertools.product(*choices):
-            for m, mono in zip(slots, monos):
-                if (m, mono) not in placed:
-                    placed[m, mono] = map_blocks(TruncPoly(ring, [(mono, 1)]), target, (m,))
-            box = [placed[m, mono] for m, mono in zip(slots, monos)]
-            cls = diag12 * block_products(target, [(1, box)])
-            label = "|".join(ring.monomial_str(m) for m in monos)
-            span.append((label, _symmetrise(cls, l)))
-    return span
-
-
 def diagonal_membership(S: SpaceDescriptor, rep: SymClassRep) -> MembershipCertificate:
-    """Decide whether rep lies in the span of symmetrised diagonal pushforwards.
+    """Decide whether a class on S x S lies in the span of the symmetrised
+    diagonal pushforwards Sym(Delta_*(m)) = 2 Delta_*(m), m a monomial of S.
 
-    Returns expressing coefficients on success; otherwise a linear functional
-    on monomial coefficients that kills the span but not rep.
+    pi_1* is a left inverse of Delta_* (projection formula), so rep is a
+    member exactly when rep = Delta_*(beta) for beta = pi_1*(rep); the
+    coefficient labelled m is then beta_m / 2.  Otherwise let mu be the
+    first monomial where rep and Delta_*(beta) differ: the witness is
+    x -> coeff_mu(x - Delta_*(pi_1*(x))), weight 1 on mu and
+    -coeff_mu(Delta_*(nu)) on nu (x) top for each monomial nu of S of
+    degree deg(mu) - dim(S).
     """
-    l = rep.l
-    if l not in (2, 3):
-        raise DomainError("membership is only decided for 2 or 3 points")
-    if rep.rep.is_zero():
-        return MembershipCertificate(True, (), None)
-    degree = rep.rep.total_degree()
-    span = diagonal_span(S, l, degree)
-    monomials = sorted(
-        set(rep.rep.terms) | {m for _, cls in span for m in cls.terms}
-    )
-    mono_index = {m: i for i, m in enumerate(monomials)}
-    nrows = len(monomials)
-    ncols = len(span)
-    # augmented system [A | v | I] over the rationals
-    rows = []
-    for m in monomials:
-        row = [cls.terms.get(m, Fraction(0)) for _, cls in span]
-        row.append(rep.rep.terms.get(m, Fraction(0)))
-        row.extend(Fraction(1) if j == mono_index[m] else Fraction(0) for j in range(nrows))
-        rows.append(row)
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = 1 / pr[col]
-        rows[rank] = pr = [x * inv for x in pr]
-        for i in range(nrows):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], pr)]
-        pivot_of_col[col] = rank
-        rank += 1
-    for i in range(rank, nrows):
-        if rows[i][ncols] != 0:
-            witness = tuple(
-                (rep.rep.ring.monomial_str(monomials[j]), rows[i][ncols + 1 + j])
-                for j in range(nrows)
-                if rows[i][ncols + 1 + j] != 0
-            )
-            return MembershipCertificate(False, None, witness)
-    solution = [Fraction(0)] * ncols
-    for col, row in pivot_of_col.items():
-        solution[col] = rows[row][ncols]
-    coefficients = tuple(
-        (span[j][0], solution[j]) for j in range(ncols) if solution[j] != 0
-    )
-    return MembershipCertificate(True, coefficients, None)
+    if rep.l != 2:
+        raise DomainError("membership is only decided for 2 points")
+    square = rep.rep.ring
+    if square != power_ring(S, 2):
+        raise DomainError("membership needs a class on the square of the space")
+    ring = ring_of(S)
+    # pi_1*: the terms at the top monomial of block 2, block 1 moved onto S
+    top = tuple(square.truncations[g] - 1 for g in square.blocks[1])
+    moves = list(zip(square.blocks[0], ring.blocks[0]))
+    beta = move_fields(rep.rep, ring, moves, list(zip(square.blocks[1], top)))
+    residual = rep.rep - diagonal_pushforward(S, beta)
+    if residual.is_zero():
+        coefficients = tuple((ring.monomial_str(m), c / 2) for m, c in beta.sorted_terms())
+        return MembershipCertificate(True, coefficients, None)
+    mu, _ = next(residual.sorted_terms())
+    weights = {mu: Fraction(1)}
+    for nu in _ring_monomials(ring, sum(mu) - S.dimension):
+        w = diagonal_pushforward(S, TruncPoly(ring, [(nu, 1)])).coefficient(mu)
+        if w:
+            weights[nu + top] = -w
+    witness = tuple((square.monomial_str(m), w) for m, w in sorted(weights.items()))
+    return MembershipCertificate(False, None, witness)
 
 
 def beauville_k3(l: int, c1sq: Fraction) -> Fraction:

@@ -185,6 +185,39 @@ def test_delta2_classes_match_per_degree_calls(space, roots):
     assert {label for label, _ in certificate.coefficients} <= {"1"}
 
 
+def test_delta2_certificates_rebuild_their_class():
+    # each certificate re-expresses delta through the span classes
+    # 2 Delta_*(m), m parsed from its label against the monomials of S
+    import itertools
+
+    from quotdeg.exactpoly import map_blocks
+    from quotdeg.selftest import instance_matrix
+
+    for space, E in instance_matrix():
+        ring, square = ring_of(space), power_ring(space, 2)
+        monomials = itertools.product(*(range(t) for t in ring.truncations))
+        by_label = {ring.monomial_str(m): m for m in monomials}
+        for delta, certificate in delta2_classes(space, E):
+            rebuilt = TruncPoly.zero(square)
+            for label, c in certificate.coefficients:
+                m = map_blocks(TruncPoly(ring, [(by_label[label], 1)]), square, (0,))
+                rebuilt = rebuilt + c * 2 * m * diagonal_class(space)
+            assert rebuilt == delta.rep
+
+
+def test_delta2_certificate_recorded_values():
+    # recorded with the Gauss-Jordan solve over the whole span
+    S = ProjProduct((2, 2, 2, 2))
+    E = bundle(S, (1, 0, 0, 0), (0, 1, 1, 0))
+    certificate = delta2_classes(S, E, 9)[9][1]
+    assert certificate.coefficients == (
+        ("h4^1", 30),
+        ("h3^1", -69),
+        ("h2^1", -69),
+        ("h1^1", -69),
+    )
+
+
 def off_diagonal_square():
     """h1^2 + h2^2 on P2 x P2: invariant, of degree 2, not a diagonal multiple."""
     square = power_ring(P2, 2)
@@ -207,6 +240,19 @@ def nu_off_diagonal_in_degree_2(S, E, l, k):
 def test_delta2_classes_reject_corrupted_conventions(monkeypatch, corrupt, message):
     from quotdeg import quot2
 
+    monkeypatch.setattr(quot2, "nu_class", corrupt)
+    with pytest.raises(CrossCheckError, match=message):
+        delta2_classes(P2, bundle(P2, (1,), (0,)))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda S, E, l, k: SymClassRep(2 * nu_class(S, E, l, k).rep), "at k = 0 fails"),
+        (nu_off_diagonal_in_degree_2, r"at k = 2 escapes the diagonal span: witness \{"),
+    ],
+)
+def test_delta2_failures_name_the_degree(monkeypatch, corrupt, message):
     monkeypatch.setattr(quot2, "nu_class", corrupt)
     with pytest.raises(CrossCheckError, match=message):
         delta2_classes(P2, bundle(P2, (1,), (0,)))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -5,7 +6,7 @@ from math import factorial
 import pytest
 
 from quotdeg.errors import CrossCheckError, DomainError
-from quotdeg.exactpoly import DegreePolynomial, TruncPoly
+from quotdeg.exactpoly import DegreePolynomial, TruncPoly, map_blocks, permute_blocks
 from quotdeg.symquot import (
     SymClassRep,
     beauville_k3,
@@ -228,6 +229,22 @@ def test_membership_zero_and_generator():
     assert cert.coefficients == (("1", Fraction(1, 2)),)
 
 
+def _span(space, degree):
+    """2 Delta_*(m) for each monomial m of degree `degree - dim` on the space."""
+    ring = ring_of(space)
+    monomials = itertools.product(*(range(t) for t in ring.truncations))
+    return [
+        2 * diagonal_pushforward(space, TruncPoly(ring, [(m, 1)]))
+        for m in monomials
+        if sum(m) == degree - space.dimension
+    ]
+
+
+def _pairing(witness, cls):
+    weights = dict(witness)
+    return sum(c * weights.get(cls.ring.monomial_str(m), 0) for m, c in cls.terms.items())
+
+
 def test_membership_rejects_offspan():
     square = power_ring(P2, 2)
     h1, h2 = TruncPoly.generator(square, 0), TruncPoly.generator(square, 1)
@@ -235,31 +252,37 @@ def test_membership_rejects_offspan():
     assert not cert.member
     assert cert.witness
     # the witness functional really separates: check it against the span
-    from quotdeg.symquot import diagonal_span
+    for cls in _span(P2, 2):
+        assert _pairing(cert.witness, cls) == 0
+    assert _pairing(cert.witness, h1 * h2) != 0
 
-    witness = dict(cert.witness)
 
-    def pairing(cls):
-        return sum(c * witness.get(square.monomial_str(m), 0) for m, c in cls.terms.items())
-
-    for _, cls in diagonal_span(P2, 2, 2):
-        assert pairing(cls) == 0
-    assert pairing(h1 * h2) != 0
+def test_membership_witness_with_nonzero_pushforward():
+    # top (x) 1 + 1 (x) top pushes forward to the point class, so beta != 0,
+    # yet the class is not 2 Delta times anything
+    square = power_ring(P2, 2)
+    h1, h2 = TruncPoly.generator(square, 0), TruncPoly.generator(square, 1)
+    cls = h1**2 + h2**2
+    cert = diagonal_membership(P2, SymClassRep(cls))
+    assert not cert.member
+    assert _pairing(cert.witness, 2 * diagonal_class(P2)) == 0
+    assert _pairing(cert.witness, cls) != 0
 
 
 def test_membership_three_points():
-    # symmetrised pairwise diagonal lies in its own span
+    # only two points are decided: an l = 3 class is refused, not judged
     cube = power_ring(P1, 3)
-    from quotdeg.exactpoly import map_blocks, permute_blocks
-
-    diag12 = map_blocks(diagonal_class(P1), cube, (0, 1))
     total = TruncPoly.zero(cube)
-    import itertools
-
     for sigma in itertools.permutations(range(3)):
-        total = total + permute_blocks(diag12, sigma)
-    cert = diagonal_membership(P1, SymClassRep(total))
-    assert cert.member
+        total = total + permute_blocks(map_blocks(diagonal_class(P1), cube, (0, 1)), sigma)
+    with pytest.raises(DomainError, match="2 points"):
+        diagonal_membership(P1, SymClassRep(total))
+
+
+@pytest.mark.parametrize("space", [P1, P3])
+def test_membership_refuses_a_class_off_the_square(space):
+    with pytest.raises(DomainError, match="square of the space"):
+        diagonal_membership(space, SymClassRep(2 * diagonal_class(P2)))
 
 
 def test_membership_guard():
@@ -303,20 +326,6 @@ def test_symclassrep_rejects_asymmetric():
     h1 = TruncPoly.generator(square, 0)
     with pytest.raises(CrossCheckError):
         SymClassRep(h1)
-
-
-def test_diagonal_span_four_points_symmetric():
-    # emitted for any l (no completeness claim beyond 3 points)
-    from quotdeg.exactpoly import permute_blocks
-    from quotdeg.symquot import diagonal_span
-
-    span = diagonal_span(P1, 4, 2)
-    assert span
-    for _, cls in span:
-        for m in range(3):
-            sigma = list(range(4))
-            sigma[m], sigma[m + 1] = sigma[m + 1], sigma[m]
-            assert permute_blocks(cls, sigma) == cls
 
 
 def test_multint_mixed_divisors_hand_value():
