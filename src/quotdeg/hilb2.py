@@ -9,16 +9,21 @@ classes of X and cross-checks it against the blow-up route on every call.
 
 The box powers (M boxplus M)^i on X x X are never built by products in the
 square ring.  The two blocks commute, so
-(M boxplus M)^i = sum_j binom(i, j) M^j (x) M^{i-j}: the powers of M are
-taken on X and placed once in each block of the square (`map_blocks`),
-and each term is one block product (`block_products`) of two classes on
-disjoint generators, whose keys just add to a normal form.  The terms for
-different j have different degrees in the first block, so they never
-collide.  The blow-up route computes these powers of M itself and shares
-none of them with the closed route.  The exceptional pushforwards vanish
-for 0 < m < dim X and are the unit class for m = 0, so each pushed power
-starts from its box power and adds the products with the pushforwards for
-m >= dim X, which are still products in the square ring.
+(M boxplus M)^i = sum_j binom(i, j) M^j (x) M^{i-j}.  The pair pushforward
+table forms them as classes: the powers of M are taken on X and placed once
+in each block of the square (`map_blocks`), and each term is one block
+product (`block_products`) of two classes on disjoint generators, whose keys
+just add to a normal form; the terms for different j have different degrees
+in the first block, so they never collide.  The degree evaluator forms no
+class on the square for them: every relation of the square ring acts within
+one block, so int (alpha (x) beta) * c is read one block at a time on X
+(`block_pairing`), and in int (M boxplus M)^d (M boxplus M)^d only the pairs
+with j + j' = d have top degree in each block, each a product of two
+integrals on X.  The blow-up route computes its powers of M itself and
+shares none of them with the closed route.  The exceptional pushforwards
+vanish for 0 < m < dim X and are the unit class for m = 0, so each pushed
+power is its box power plus the products with the pushforwards for
+m >= dim X, which the degree evaluator pairs block by block.
 """
 
 from __future__ import annotations
@@ -28,7 +33,14 @@ from functools import lru_cache
 from math import comb
 
 from .errors import CrossCheckError, DomainError
-from .exactpoly import TruncPoly, binomial, block_products, map_blocks
+from .exactpoly import (
+    TruncPoly,
+    binomial,
+    block_pairing,
+    block_products,
+    map_blocks,
+    top_pairing,
+)
 from .varieties import (
     SpaceDescriptor,
     diagonal_pushforward,
@@ -123,7 +135,7 @@ def _exceptional(space: SpaceDescriptor, top: int) -> dict[int, TruncPoly]:
 
 def _closed_powers(divisor: TruncPoly, top: int) -> list[TruncPoly]:
     """The powers M^i for i = 0..top that the closed route integrates; the
-    blow-up route takes its own (`_box_powers`)."""
+    blow-up route of `hilb2_degree` takes its own."""
     powers = [TruncPoly.one(divisor.ring)]
     for _ in range(top):
         powers.append(powers[-1] * divisor)
@@ -140,9 +152,13 @@ def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
         - 2^{d-1} sum_m binom(2d, d+m) 2^{-m} int M^{d-m} s_m(X),
     (b) half the X x X integral of the pair pushforward in power 2d,
         (1/2) sum_m binom(2d, m) int (M boxplus M)^{2d-m} * (blow-up
-        pushforward of the m-th exceptional power), each term integrated
-        as a product without forming it.  The exceptional pushforwards
-        vanish for 0 < m < d, so the box powers are needed only up to d.
+        pushforward of the m-th exceptional power), from this route's own
+        powers of M.  The m = 0 term is
+        sum_j binom(d, j)^2 int M^j M^{d-j} * int M^{d-j} M^j on X; each
+        other term pairs the cached pushforward with the Kuenneth sum
+        sum_j binom(2d-m, j) M^j (x) M^{2d-m-j} one block at a time
+        (`block_pairing`).  The exceptional pushforwards vanish for
+        0 < m < d, so the powers of M are needed only up to d.
     """
     d = space.dimension
     if d < 1:
@@ -160,10 +176,16 @@ def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
             * integrate_product(space, powers[d - m], segre.graded_part(m))
         )
     closed -= Fraction(2) ** (d - 1) * correction
-    box_powers = _box_powers(space, divisor, d)
-    blowup = integrate_product(space, box_powers[d], box_powers[d])
+    own = [TruncPoly.one(divisor.ring)]  # this route's own powers of M
+    for _ in range(d):
+        own.append(own[-1] * divisor)
+    # int (M boxplus M)^d (M boxplus M)^d keeps the pairs with j + j' = d
+    pairs = [top_pairing(own[j], own[d - j]) for j in range(d + 1)]
+    blowup = sum(binomial(d, j) ** 2 * pairs[j] * pairs[d - j] for j in range(d + 1))
     for m, e in _exceptional(space, 2 * d).items():
-        blowup += binomial(2 * d, m) * integrate_product(space, box_powers[2 * d - m], e)
+        n = 2 * d - m
+        kuenneth = [(comb(n, j), (own[j], own[n - j])) for j in range(n + 1)]
+        blowup += binomial(2 * d, m) * block_pairing(e, kuenneth)
     blowup_route = Fraction(1, 2) * blowup
     if closed != blowup_route:
         raise CrossCheckError(

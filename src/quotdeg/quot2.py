@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import CrossCheckError, DomainError
-from .exactpoly import DegreePolynomial, TruncPoly, binomial, poly_interpolate
+from .exactpoly import DegreePolynomial, TruncPoly, binomial, block_pairing, poly_interpolate
 from .hilb2 import hilb2_degree, pair_power_pushforward_table
 from .jacobi import a_coeff
 from .symquot import (
@@ -44,7 +44,6 @@ from .varieties import (
     ProjBundle,
     ProjProduct,
     SplitBundle,
-    boxsum,
     bundle_power_pushforward,
     divisor_from_vector,
     integrate,
@@ -236,9 +235,15 @@ def degree2_polynomial(
     if poly.evaluate(2 * d + 1) != values[2 * d + 1][1]:
         raise CrossCheckError("degree polynomial fails at the verification point")
     coeffs = list(poly.coefficients) + [Fraction(0)] * (2 * d + 1 - len(poly.coefficients))
-    box = boxsum(S, 2, direction)
+    # (H boxplus H)^m = sum_a binom(m, a) H^a (x) H^{m-a}, from the check's own
+    # powers of H; the terms with a or m - a above d vanish
+    H = [TruncPoly.one(direction.ring)]
+    for _ in range(d):
+        H.append(H[-1] * direction)
     for j in range(d):
-        integral = integrate_product(S, box ** (2 * d - j), nu_class(S, E, 2, j).rep)
+        m = 2 * d - j
+        kuenneth = [(comb(m, a), (H[a], H[m - a])) for a in range(m - d, d + 1)]
+        integral = block_pairing(nu_class(S, E, 2, j).rep, kuenneth)
         predicted = binomial(2 * p, 2 * d - j) * integral / 2
         if coeffs[2 * d - j] != predicted:
             raise CrossCheckError(

@@ -242,3 +242,60 @@ def test_blowup_route_takes_its_own_powers_of_the_divisor(monkeypatch):
     for space, M in ((P2, hyperplane(P2, 0)), (P1xP1, divisor_from_vector(P1xP1, (1, 2)))):
         with pytest.raises(CrossCheckError, match="hilb2 degree routes disagree"):
             hilb2_degree(space, M)
+
+
+def _mutant_diagonal_class(old, new):
+    """`varieties.diagonal_class` with the one occurrence of `old` in its
+    source replaced by `new`, compiled against the module's own names."""
+    import inspect
+
+    from quotdeg import varieties
+
+    source = inspect.getsource(varieties.diagonal_class)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(varieties))
+    exec(compile(source.replace(old, new), varieties.__file__, "exec"), namespace)
+    return namespace["diagonal_class"]
+
+
+def test_a_sign_error_in_the_bundle_diagonal_fails_the_routes(monkeypatch, capsys):
+    # the i = 1 term of the P(E) diagonal's fibre sum with the wrong sign
+    # reaches the blow-up route through the exceptional pushforwards only
+    import json
+
+    from quotdeg import cli, hilb2, varieties
+    from quotdeg.errors import CrossCheckError
+    from quotdeg.varieties import pullback_to_bundle, zeta
+
+    mutant = _mutant_diagonal_class(
+        "fibre = fibre + Fraction(-1) ** i * kernel_chern",
+        "fibre = fibre + Fraction(-1) ** (i + (i == 1)) * kernel_chern",
+    )
+    real = varieties.diagonal_class
+    real.cache_clear()
+    hilb2.blowup_power_pushforward.cache_clear()
+    try:
+        monkeypatch.setattr(varieties, "diagonal_class", mutant)
+        cases = (
+            ((1,), ((0,), (1,)), (1,)),
+            ((2,), ((0,), (1,)), (1,)),
+            ((1, 2), ((1, 2), (2, 1), (0, 1)), (1, 1)),
+            ((2, 2), ((0, 0), (1, 0), (0, 1)), (1, 1)),
+        )
+        for dims, roots, twist_vector in cases:
+            S = ProjProduct(dims)
+            X = ProjBundle(S, SplitBundle(tuple(divisor_from_vector(S, v) for v in roots)))
+            M = pullback_to_bundle(X, divisor_from_vector(S, twist_vector)) + zeta(X)
+            with pytest.raises(CrossCheckError, match="hilb2 degree routes disagree"):
+                hilb2_degree(X, M)
+        instance = {
+            "base": {"type": "projective_product", "dims": [1, 2]},
+            "bundle": {"roots": [[1, 2], [2, 1], [0, 1]]},
+            "twist": [1, 1],
+        }
+        code = cli.main(["degree2", "--n", "1", "--input", json.dumps(instance)])
+        assert code == 3
+        assert "hilb2 degree routes disagree" in json.loads(capsys.readouterr().out)["error"]
+    finally:
+        hilb2.blowup_power_pushforward.cache_clear()
+        real.cache_clear()

@@ -277,8 +277,10 @@ def test_degree2_polynomial_rejects_a_corrupted_prediction(monkeypatch):
     monkeypatch.setattr(
         quot2, "nu_class", lambda S, E, l, k: SymClassRep(2 * nu_class(S, E, l, k).rep)
     )
-    with pytest.raises(CrossCheckError, match="multinomial prediction"):
-        degree2_polynomial(P1, bundle(P1, (0,), (0,)))
+    P1xP2 = ProjProduct((1, 2))
+    for S, E in ((P1, bundle(P1, (0,), (0,))), (P1xP2, bundle(P1xP2, (1, 2), (2, 1), (0, 1)))):
+        with pytest.raises(CrossCheckError, match="multinomial prediction"):
+            degree2_polynomial(S, E)
 
 
 def test_degree_d_certificate_rejects_off_diagonal_class():

@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from quotdeg.errors import DomainError
-from quotdeg.exactpoly import Monomial, Relation, RingDescriptor, TruncPoly, permute_blocks
+from quotdeg.errors import DomainError, RingMismatchError
+from quotdeg.exactpoly import (
+    Monomial,
+    Relation,
+    RingDescriptor,
+    TruncPoly,
+    block_pairing,
+    block_products,
+    map_blocks,
+    permute_blocks,
+)
 from quotdeg.varieties import (
     ProjBundle,
     ProjProduct,
@@ -279,6 +288,62 @@ def test_integrate_product_matches_the_formed_product():
                 part = a.graded_part(k)
                 assert integrate_product(space, part, b) == integrate(space, part * b)
     assert nonzero > 300
+
+
+def _every_bucket(rng, ring):
+    """A class with one random monomial of every degree 0..max_degree."""
+    items = []
+    for degree in range(ring.max_degree + 1):
+        mono = [0] * ring.ngens
+        for _ in range(degree):
+            g = rng.choice([i for i, t in enumerate(ring.truncations) if mono[i] < t - 1])
+            mono[g] += 1
+        items.append((tuple(mono), Fraction(rng.randint(1, 5), rng.randint(1, 3))))
+    return TruncPoly(ring, items)
+
+
+def test_block_pairing_matches_the_placed_block_products():
+    from quotdeg.selftest import instance_matrix
+
+    rng = random.Random(28)
+    spaces = []
+    for S, E in instance_matrix():
+        spaces += [space for space in (S, ProjBundle(S, E)) if space not in spaces]
+    nonzero = 0
+    for space in spaces:
+        factor, square = ring_of(space), power_ring(space, 2)
+        for _ in range(3):
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                a = _random_terms(rng, factor, rng.randint(1, 12))  # inhomogeneous
+                b = _random_terms(rng, factor, rng.randint(1, 12))
+                if rng.random() < 0.5:
+                    b = b.graded_part(rng.randint(0, factor.max_degree))
+                terms.append((Fraction(rng.randint(-4, 4), rng.randint(1, 3)), (a, b)))
+            placed = [
+                (coeff, [map_blocks(a, square, (0,)), map_blocks(b, square, (1,))])
+                for coeff, (a, b) in terms
+            ]
+            for c in (_every_bucket(rng, square), _random_terms(rng, square, 40)):
+                expected = integrate_product(space, block_products(square, placed), c)
+                assert block_pairing(c, terms) == expected
+                nonzero += expected != 0
+    assert nonzero > 250
+
+
+def test_block_pairing_refuses_factors_off_the_blocks():
+    h1, h2 = hyperplane(P1, 0), hyperplane(P2, 0)
+    X = ProjBundle(P1, line_bundles(P1, (0,), (1,)))
+    c = TruncPoly.one(power_ring(P1, 2))
+    with pytest.raises(RingMismatchError):
+        block_pairing(c, [(1, (h1, h2))])
+    with pytest.raises(RingMismatchError):
+        block_pairing(c, [(1, (h1, h1)), (2, (h2, h2))])
+    for ring in (power_ring(P2, 2), power_ring(P1, 3), ring_of(P1), power_ring(X, 2)):
+        with pytest.raises(DomainError):
+            block_pairing(TruncPoly.one(ring), [(1, (h1, h1))])
+    with pytest.raises(DomainError):
+        block_pairing(TruncPoly.one(power_ring(P1, 4)), [(1, (c, c))])
 
 
 def test_pre_top_table_of_projective_products_is_the_top_monomial():
