@@ -77,7 +77,10 @@ by total degree, with `int` numerators over one common denominator:
   shift split each key of c; each <alpha, x^k> is `top_pairing`'s pre-top
   lookup for the one key k, memoised per call; and c's terms are grouped by
   block-1 degree, so each is visited once per product of complementary
-  degrees.  No class on the two-block ring is formed.
+  degrees.  No class on the two-block ring is formed.  A class paired many
+  times is split once instead (`block_split`): its terms become flat rows
+  (k1, k2, numerator) over one table of factor keys, grouped by block-1
+  degree, and `top_pairings` reads <alpha, x^k> for a list of keys.
 * Coefficients.  Numerators are ints over one positive denominator, and the
   pair (denominator, numerators) is kept reduced, so two equal polynomials
   have identical storage.  Relation coefficients are integers (Chern classes
@@ -115,6 +118,9 @@ __all__ = [
     "top_pairing",
     "block_products",
     "block_pairing",
+    "BlockSplit",
+    "block_split",
+    "top_pairings",
     "move_fields",
     "permute_blocks",
     "map_blocks",
@@ -326,15 +332,19 @@ class RingDescriptor:
         return tuple(sig)
 
 
-def _reduce_terms(layout: _Layout, buckets: list[dict]) -> None:
+def _reduce_terms(layout: _Layout, buckets: list) -> None:
     """Rewrite in place every term whose related exponent reached its
     relation power; the caller drops the zero coefficients this leaves.
+    Empty buckets, and the None that `TruncPoly.__mul__` leaves for a bucket
+    no pair reaches, are skipped.
 
     A term's plain exponents are below their truncations on entry, and a
     rewritten term keeps its degree, so it stays in its bucket.
     """
     bias, trunc_guard, rel_guard = layout.bias, layout.trunc_guard, layout.rel_guard
     for bucket in buckets:
+        if not bucket:
+            continue
         for mono in [m for m in bucket if (m + bias) & rel_guard]:
             terms = [(mono, bucket.pop(mono))]
             for shift, value_mask, power, table in layout.rewrites:
@@ -579,7 +589,8 @@ class TruncPoly:
         bias, guard = layout.bias, layout.trunc_guard
         top = ring.max_degree
         A, B = self._buckets, other._buckets
-        out: list[dict] = [{} for _ in range(min(len(A) + len(B) - 1, top + 1))]
+        # only the output buckets some bucket pair reaches are created
+        out: list = [None] * min(len(A) + len(B) - 1, top + 1)
         for i, bucket_a in enumerate(A):
             if not bucket_a:
                 continue
@@ -588,6 +599,8 @@ class TruncPoly:
                 if not bucket_b:
                     continue
                 acc = out[i + j]
+                if acc is None:
+                    acc = out[i + j] = {}
                 get = acc.get
                 outer, inner = bucket_a, bucket_b
                 if len(outer) > len(inner):
@@ -600,9 +613,8 @@ class TruncPoly:
                             acc[m] = get(m, 0) + c1 * c2
         if layout.rel_guard:
             _reduce_terms(layout, out)
-        return TruncPoly._make(
-            ring, self._den * other._den, [{m: c for m, c in b.items() if c} for b in out]
-        )
+        buckets = [{m: c for m, c in b.items() if c} if b else {} for b in out]
+        return TruncPoly._make(ring, self._den * other._den, buckets)
 
     __rmul__ = __mul__
 
@@ -684,22 +696,45 @@ def top_pairing(a: TruncPoly, b: TruncPoly) -> Fraction:
 def series_inverse(a: TruncPoly) -> TruncPoly:
     """Multiplicative inverse of a polynomial with constant term 1.
 
-    Uses the geometric series 1/(1+u) = sum (-u)^i, which terminates because
-    every positive-degree element of a truncated ring is nilpotent.
+    Solved degree by degree: for a = 1 + c_1 + c_2 + ... with c_i of degree
+    i, the inverse s has s_0 = 1 and s_k = -sum_{i=1..k} c_i s_{k-i}, which
+    ends at the ring's top degree.  It runs on integer numerators: with
+    c_i = A_i / D over a's denominator D, the numerators S_k = D^k s_k obey
+    S_k = -sum_i A_i S_{k-i} D^{i-1}, each a product of two degree buckets
+    under the truncation guard, rewritten by `_reduce_terms` once per
+    degree.  No intermediate class is formed.
     """
     if a.constant_term() != 1:
         raise DomainError("series_inverse requires constant term 1")
-    u = a - 1
-    result = TruncPoly.one(a.ring)
-    power = TruncPoly.one(a.ring)
-    sign = 1
-    for _ in range(a.ring.max_degree):
-        power = power * u
-        sign = -sign
-        if power.is_zero():
-            break
-        result = result + sign * power
-    return result
+    ring = a.ring
+    layout = ring._layout
+    bias, guard = layout.bias, layout.trunc_guard
+    top = ring.max_degree
+    den = a._den
+    # -A_i D^{i-1}, the factor of S_{k-i} in S_k, for each nonzero A_i
+    steps = [
+        (i, [(m, -c * den ** (i - 1)) for m, c in bucket.items()])
+        for i, bucket in enumerate(a._buckets[1:], 1)
+        if bucket
+    ]
+    S = [{0: 1}]
+    for k in range(1, top + 1):
+        acc: dict = {}
+        get = acc.get
+        for i, step in steps:
+            if i > k:
+                break
+            for m1, c1 in S[k - i].items():
+                for m2, c2 in step:
+                    m = m1 + m2
+                    if not (m + bias) & guard:
+                        acc[m] = get(m, 0) + c1 * c2
+        if layout.rel_guard:
+            _reduce_terms(layout, [acc])
+        S.append({m: c for m, c in acc.items() if c})
+    if den != 1:  # s_k = S_k / D^k, over the common denominator D^top
+        S = [{m: c * den ** (top - k) for m, c in b.items()} for k, b in enumerate(S)]
+    return TruncPoly._make(ring, den**top, S)
 
 
 def block_products(
@@ -848,6 +883,78 @@ def block_pairing(
             scale = den // (coeff.denominator * a._den * b._den)
             total += coeff.numerator * scale * term_sum
     return Fraction(total, den * c._den)
+
+
+class BlockSplit(NamedTuple):
+    """Classes of a two-block ring split into their blocks (`block_split`).
+
+    ``keys[i]`` holds the distinct packed factor-ring keys of degree i that
+    occur in either block, and a key's index is its position in the
+    concatenation of ``keys``.  ``classes`` holds, per class, its
+    denominator and its terms x^k1 (x) x^k2 grouped by the degree i of k1,
+    each group one flat tuple of rows (index of k1, index of k2, numerator).
+    """
+
+    keys: tuple[tuple[int, ...], ...]
+    classes: tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
+
+
+def block_split(classes: Sequence[TruncPoly], factor: RingDescriptor) -> BlockSplit:
+    """Split classes of a ring whose two blocks repeat `factor` into rows
+    over one shared table of factor keys, so each monomial of the factor is
+    stored once.  Block 1 keeps the factor ring's fields and block 2 sits
+    just above them (`block_pairing`), so one mask and one shift split a
+    key; the numerators are the classes' own."""
+    width = factor.ngens
+    blocks = (tuple(range(width)), tuple(range(width, 2 * width)))
+    if factor.blocks != blocks[:1] or any(
+        c.ring.blocks != blocks or c.ring._block_signatures != factor._block_signatures * 2
+        for c in classes
+    ):
+        raise DomainError("both blocks of the class's ring must repeat the factor ring")
+    if not classes:
+        return BlockSplit((), ())
+    shift = classes[0].ring._layout.shifts[width]
+    mask = (1 << shift) - 1
+    fields = tuple(zip(factor._layout.shifts, factor._layout.value_masks))
+    degree: dict[int, int] = {}
+    for c in classes:
+        for bucket in c._buckets:
+            for key in bucket:
+                for k in (key & mask, key >> shift):
+                    if k not in degree:
+                        degree[k] = sum((k >> s) & v for s, v in fields)
+    keys = [[] for _ in range(factor.max_degree + 1)]
+    for k, i in degree.items():
+        keys[i].append(k)
+    index = {k: i for i, k in enumerate(chain.from_iterable(keys))}
+    split = []
+    for c in classes:
+        groups: dict[int, list[int]] = {}
+        for bucket in c._buckets:
+            for key, num in bucket.items():
+                k1 = key & mask
+                groups.setdefault(degree[k1], []).extend((index[k1], index[key >> shift], num))
+        split.append((c._den, tuple((i, tuple(rows)) for i, rows in sorted(groups.items()))))
+    return BlockSplit(tuple(map(tuple, keys)), tuple(split))
+
+
+def top_pairings(a: TruncPoly, keys: Iterable[int]) -> tuple[int, list[int]]:
+    """The denominator of a and, for each packed key k of a's ring, the
+    numerator of <a, x^k>, the top coefficient of a x^k: `top_pairing`'s
+    pre-top lookup for the one monomial x^k.  Distinct normal forms pack to
+    distinct keys across degrees, so p - k is looked up among all of a's
+    terms at once."""
+    related_mask, entries = a.ring._pre_top_by_related
+    present = [b for b in a._buckets if b]
+    if len(present) == 1:
+        terms = present[0]
+    else:
+        terms = {m: c for b in present for m, c in b.items()}
+    get = terms.get
+    return a._den, [
+        sum([t * get(p - k, 0) for p, t in entries[k & related_mask]]) for k in keys
+    ]
 
 
 def move_fields(

@@ -16,30 +16,37 @@ product (`block_products`) of two classes on disjoint generators, whose keys
 just add to a normal form; the terms for different j have different degrees
 in the first block, so they never collide.  The degree evaluator forms no
 class on the square for them: every relation of the square ring acts within
-one block, so int (alpha (x) beta) * c is read one block at a time on X
-(`block_pairing`), and in int (M boxplus M)^d (M boxplus M)^d only the pairs
-with j + j' = d have top degree in each block, each a product of two
-integrals on X.  The blow-up route computes its powers of M itself and
-shares none of them with the closed route.  The exceptional pushforwards
-vanish for 0 < m < dim X and are the unit class for m = 0, so each pushed
-power is its box power plus the products with the pushforwards for
-m >= dim X, which the degree evaluator pairs block by block.
+one block, so int (alpha (x) beta) * c is read one block at a time on X (the
+Kuenneth property of `block_pairing`), and in
+int (M boxplus M)^d (M boxplus M)^d only the pairs with j + j' = d have top
+degree in each block, each a product of two integrals on X.  The blow-up
+route computes its powers of M itself and shares none of them with the
+closed route.  The exceptional pushforwards vanish for 0 < m < dim X and are
+the unit class for m = 0, so each pushed power is its box power plus the
+products with the pushforwards e_m for m >= dim X.  The degree evaluator
+sums all of those in one integer pass: the e_m are split once per space
+into rows (k1, k2, numerator) over one table of the monomials of X, grouped
+by m and the degree of k1 (`exactpoly.block_split`); per call each monomial
+x^k of X is paired once with the complementary power of M, and each row
+contributes its numerator times the two pairings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .errors import CrossCheckError, DomainError
 from .exactpoly import (
+    BlockSplit,
     TruncPoly,
     binomial,
-    block_pairing,
     block_products,
+    block_split,
     map_blocks,
     top_pairing,
+    top_pairings,
 )
 from .varieties import (
     SpaceDescriptor,
@@ -133,6 +140,15 @@ def _exceptional(space: SpaceDescriptor, top: int) -> dict[int, TruncPoly]:
     return exc
 
 
+@lru_cache(maxsize=None)
+def _exceptional_split(space: SpaceDescriptor) -> tuple[tuple[int, ...], BlockSplit]:
+    """The powers m of the nonzero e_m = `blowup_power_pushforward`(space, m),
+    m <= 2 dim X, and those classes split into their two blocks over one
+    table of the monomials of X (`block_split`)."""
+    exc = _exceptional(space, 2 * space.dimension)
+    return tuple(exc), block_split(list(exc.values()), ring_of(space))
+
+
 def _closed_powers(divisor: TruncPoly, top: int) -> list[TruncPoly]:
     """The powers M^i for i = 0..top that the closed route integrates; the
     blow-up route of `hilb2_degree` takes its own."""
@@ -151,14 +167,9 @@ def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
         (1/2) binom(2d, d) (int M^d)^2
         - 2^{d-1} sum_m binom(2d, d+m) 2^{-m} int M^{d-m} s_m(X),
     (b) half the X x X integral of the pair pushforward in power 2d,
-        (1/2) sum_m binom(2d, m) int (M boxplus M)^{2d-m} * (blow-up
-        pushforward of the m-th exceptional power), from this route's own
-        powers of M.  The m = 0 term is
-        sum_j binom(d, j)^2 int M^j M^{d-j} * int M^{d-j} M^j on X; each
-        other term pairs the cached pushforward with the Kuenneth sum
-        sum_j binom(2d-m, j) M^j (x) M^{2d-m-j} one block at a time
-        (`block_pairing`).  The exceptional pushforwards vanish for
-        0 < m < d, so the powers of M are needed only up to d.
+        (1/2) sum_m binom(2d, m) int (M boxplus M)^{2d-m} * e_m, e_m the
+        blow-up pushforward of the m-th exceptional power, from this
+        route's own powers of M (`_blowup_route`).
     """
     d = space.dimension
     if d < 1:
@@ -176,19 +187,53 @@ def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
             * integrate_product(space, powers[d - m], segre.graded_part(m))
         )
     closed -= Fraction(2) ** (d - 1) * correction
+    blowup_route = _blowup_route(space, divisor)
+    if closed != blowup_route:
+        raise CrossCheckError(
+            f"hilb2 degree routes disagree: closed form {closed}, blow-up route {blowup_route}"
+        )
+    return closed
+
+
+def _blowup_route(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
+    """Route (b) of `hilb2_degree`,
+    (1/2) sum_m binom(2d, m) int (M boxplus M)^{2d-m} * e_m, from its own
+    powers of M, with (M boxplus M)^n = sum_j binom(n, j) M^j (x) M^{n-j}.
+
+    The m = 0 term, e_0 = 1, is sum_j binom(d, j)^2 <M^j, M^{d-j}>^2 on X.
+    For m >= d, e_m is homogeneous of degree m, and its term at
+    x^k1 (x) x^k2 pairs only with j = d - deg k1 (the Kuenneth property,
+    `block_pairing`), to phi(k1) phi(k2) with phi(k) = <M^{d - deg k}, x^k>;
+    so the term of m is
+        binom(2d, m) sum_{k1, k2} binom(2d - m, d - deg k1) e_m[k1, k2] phi(k1) phi(k2).
+    The e_m are split into their blocks once per space (`_exceptional_split`),
+    phi is computed once per monomial of X, and each term is summed in
+    integers, one `Fraction` per m.  The e_m vanish for 0 < m < d, so the
+    powers of M are needed only up to d.
+    """
+    d = space.dimension
     own = [TruncPoly.one(divisor.ring)]  # this route's own powers of M
     for _ in range(d):
         own.append(own[-1] * divisor)
     # int (M boxplus M)^d (M boxplus M)^d keeps the pairs with j + j' = d
     pairs = [top_pairing(own[j], own[d - j]) for j in range(d + 1)]
     blowup = sum(binomial(d, j) ** 2 * pairs[j] * pairs[d - j] for j in range(d + 1))
-    for m, e in _exceptional(space, 2 * d).items():
-        n = 2 * d - m
-        kuenneth = [(comb(n, j), (own[j], own[n - j])) for j in range(n + 1)]
-        blowup += binomial(2 * d, m) * block_pairing(e, kuenneth)
-    blowup_route = Fraction(1, 2) * blowup
-    if closed != blowup_route:
-        raise CrossCheckError(
-            f"hilb2 degree routes disagree: closed form {closed}, blow-up route {blowup_route}"
-        )
-    return closed
+    ms, split = _exceptional_split(space)
+    # phi(k) for each monomial x^k of the split, over one denominator
+    dens, values = [], []
+    for i, keys in enumerate(split.keys):
+        den, nums = top_pairings(own[d - i], keys)
+        dens.append(den)
+        values.append(nums)
+    den = lcm(*dens)
+    phi = [v * (den // kd) for kd, nums in zip(dens, values) for v in nums]
+    for m, (e_den, groups) in zip(ms, split.classes):
+        total = 0
+        for i, rows in groups:
+            group = 0
+            it = iter(rows)
+            for a, b, num in zip(it, it, it):
+                group += num * phi[a] * phi[b]
+            total += comb(2 * d - m, d - i) * group
+        blowup += Fraction(comb(2 * d, m) * total, e_den * den * den)
+    return Fraction(1, 2) * blowup

@@ -6,7 +6,8 @@ Pipelines, which must agree exactly on every instance:
 * a closed formula in Segre classes of S and the twisted bundle, with
   coefficients from the Jacobi-sum module; each unordered Segre pair
   s_i s_j (i + j = d - k) is formed and integrated once and weighted by
-  a_j + a_i, and every a-value is evaluated, so each is cross-checked;
+  a_j + a_i, read from a table per (r, d) in which every a-value is
+  evaluated once per process, so each is cross-checked;
 * the projective-bundle route: the two-point Hilbert scheme degree formula
   evaluated through fibre integrals I_m over P(E twisted), each I_m computed
   both from its closed form in Segre classes of the twisted bundle on S (one
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 
 from .errors import CrossCheckError, DomainError
@@ -106,7 +108,8 @@ def degree2_formula(inst: Quot2Instance) -> Fraction:
     - 2^{p-1} sum_k int s_k(S) * sum_j a_j(r,d,k) s_{d-k-j}(EL) s_j(EL),
     where EL is the twisted bundle.  Each unordered pair s_i s_j with
     i + j = d - k is formed and integrated once and weighted by a_j + a_i
-    (by a_j alone when i = j); every a-value is still evaluated.
+    (by a_j alone when i = j); the weights come from a table per (r, d),
+    built once per process, in which every a-value is evaluated.
     """
     S, d, p, r = inst.S, inst.d, inst.p, inst.E.rank
     EL = twist(inst.E, inst.Lc1)
@@ -114,17 +117,34 @@ def degree2_formula(inst: Quot2Instance) -> Fraction:
     sd = integrate(S, segre_EL.graded_part(d))
     total = Fraction(1, 2) * binomial(2 * p, p) * sd**2
     segre_S = segre_scheme(S)
+    weights = _pair_weights(r, d)
     correction = Fraction(0)
     for k in range(d + 1):
         s_k = segre_S.graded_part(k)
+        for j, weight in enumerate(weights[k]):
+            i = d - k - j
+            pair = segre_EL.graded_part(i) * segre_EL.graded_part(j)
+            correction += weight * integrate_product(S, s_k, pair)
+    return total - Fraction(2) ** (p - 1) * correction
+
+
+@lru_cache(maxsize=None)
+def _pair_weights(r: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The weights of `degree2_formula`: for each k, and each j <= i with
+    i = d - k - j, a_j(r, d, k) + a_i(r, d, k), or a_j alone when i = j.
+    Every a-value is evaluated once, by `a_coeff`, which compares its two
+    routes on each call."""
+    table = []
+    for k in range(d + 1):
+        row = []
         for j in range((d - k) // 2 + 1):
             i = d - k - j
             weight = a_coeff(r, d, k, j)
             if i != j:
                 weight += a_coeff(r, d, k, i)
-            pair = segre_EL.graded_part(i) * segre_EL.graded_part(j)
-            correction += weight * integrate_product(S, s_k, pair)
-    return total - Fraction(2) ** (p - 1) * correction
+            row.append(weight)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _fibre_integrals_closed(inst: Quot2Instance, segre_EL: TruncPoly) -> list[Fraction]:
@@ -134,7 +154,7 @@ def _fibre_integrals_closed(inst: Quot2Instance, segre_EL: TruncPoly) -> list[Fr
     EL.  P[k][j] = P[k][d-k-j], so each unordered pair is formed and
     integrated once.  The terms with k > m vanish, since each has a negative
     lower binomial index m - d + j <= m - k."""
-    S, d, p, r = inst.S, inst.d, inst.p, inst.E.rank
+    S, d, r = inst.S, inst.d, inst.E.rank
     segre_S = segre_scheme(S)
     P = []
     for k in range(d + 1):
@@ -148,14 +168,29 @@ def _fibre_integrals_closed(inst: Quot2Instance, segre_EL: TruncPoly) -> list[Fr
     den = lcm(*(x.denominator for row in P for x in row))
     P = [[x.numerator * (den // x.denominator) for x in row] for row in P]
     out = []
-    for m in range(p + 1):
-        value = sum(
-            (-1) ** (m + k + j) * comb(r - 1 + m - k, m - d + j) * P[k][j]
-            for k in range(min(m, d) + 1)
-            for j in range(max(0, d - m), d - k + 1)
-        )
+    for row in _fibre_weights(r, d):
+        value = 0
+        it = iter(row)
+        for k, j, weight in zip(it, it, it):
+            value += weight * P[k][j]
         out.append(Fraction(value, den))
     return out
+
+
+@lru_cache(maxsize=None)
+def _fibre_weights(r: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The integer weights of `_fibre_integrals_closed`: for m = 0..p, the
+    flat rows k, j, (-1)^{m+k+j} binom(r-1+m-k, m-d+j) with k <= min(m, d)
+    and max(0, d-m) <= j <= d-k, once per (r, d)."""
+    return tuple(
+        tuple(
+            x
+            for k in range(min(m, d) + 1)
+            for j in range(max(0, d - m), d - k + 1)
+            for x in (k, j, (-1) ** (m + k + j) * comb(r - 1 + m - k, m - d + j))
+        )
+        for m in range(r + d)
+    )
 
 
 def degree2_projbundle(inst: Quot2Instance) -> Fraction:

@@ -43,12 +43,14 @@ def test_convention_lock_detects_sign_corruption(monkeypatch):
         return flipped
 
     hilb2.blowup_power_pushforward.cache_clear()
+    hilb2._exceptional_split.cache_clear()
     monkeypatch.setattr(hilb2, "segre_scheme", corrupted)
     try:
         with pytest.raises((AssertionError, CrossCheckError)):
             crit_hilb2_convention_lock()
     finally:
         hilb2.blowup_power_pushforward.cache_clear()
+        hilb2._exceptional_split.cache_clear()
 
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quotdeg"

@@ -383,3 +383,90 @@ def test_relation_validation():
         ring(((1, 1), Fraction(1, 2)),)
     with pytest.raises(ValueError, match="normal-form"):
         RingDescriptor(("h", "z"), (2, 2), ((0, 1),), (Relation(1, 2, (((2, 0), Fraction(1)),)),))
+
+
+# series_inverse as it was before the graded recurrence, kept as the reference
+def geometric_series_inverse(a: TruncPoly) -> TruncPoly:
+    u = a - 1
+    result = TruncPoly.one(a.ring)
+    power = TruncPoly.one(a.ring)
+    sign = 1
+    for _ in range(a.ring.max_degree):
+        power = power * u
+        sign = -sign
+        if power.is_zero():
+            break
+        result = result + sign * power
+    return result
+
+
+def _instance_matrix_rings():
+    from quotdeg.selftest import instance_matrix
+
+    rings = {}
+    for S, E in instance_matrix():
+        for space in (S, ProjBundle(S, E)):
+            for l in (1, 2):
+                ring = power_ring(space, l)
+                rings[ring] = None
+    return list(rings)
+
+
+INSTANCE_MATRIX_RINGS = _instance_matrix_rings()
+
+
+def test_series_inverse_matches_geometric_series_on_instance_matrix_rings():
+    assert any(ring.relations for ring in INSTANCE_MATRIX_RINGS)
+    rng = random.Random(2929)
+    for ring in INSTANCE_MATRIX_RINGS:
+        for nterms in (1, 4, 9):
+            c = TruncPoly(ring, random_terms(rng, ring, nterms))
+            c = c - c.constant_term() + 1
+            inverse = series_inverse(c)
+            assert inverse == geometric_series_inverse(c), ring
+            assert c * inverse == TruncPoly.one(ring)
+
+
+def test_series_inverse_of_integral_classes_with_gaps():
+    # a class whose degree-1 part vanishes: s_1 = 0 but s_2 != 0, so the
+    # recurrence must not stop at the first zero degree
+    S = ProjProduct((2,))
+    X = ProjBundle(S, SplitBundle((divisor_from_vector(S, [1]), divisor_from_vector(S, [0]))))
+    ring = power_ring(X, 1)
+    h, z = (TruncPoly.generator(ring, i) for i in range(2))
+    for c in (1 + h * z, 1 + z**2 - 3 * h**2 * z, 1 + Fraction(2, 3) * h * z + h**3):
+        assert series_inverse(c) == geometric_series_inverse(c)
+        assert series_inverse(c) * c == TruncPoly.one(ring)
+
+
+@pytest.mark.parametrize("constant", [0, 2, Fraction(1, 2), -1])
+def test_series_inverse_rejects_a_constant_term_other_than_one(constant):
+    ring = INSTANCE_MATRIX_RINGS[-1]
+    with pytest.raises(DomainError, match="constant term 1"):
+        series_inverse(constant + TruncPoly.generator(ring, 0))
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS.values(), ids=KERNEL_RINGS.keys())
+def test_top_pairings_read_top_pairing_one_monomial_at_a_time(ring):
+    from itertools import product as cartesian
+
+    from quotdeg.exactpoly import top_pairing, top_pairings
+
+    rng = random.Random(31)
+    monos = list(cartesian(*(range(t) for t in ring.truncations)))
+    keys = [ring._layout.pack(mono) for mono in monos]
+    for _ in range(5):
+        a = TruncPoly(ring, random_terms(rng, ring, rng.randrange(0, 9)))
+        den, nums = top_pairings(a, keys)
+        for mono, num in zip(monos, nums):
+            assert Fraction(num, den) == top_pairing(a, TruncPoly(ring, [(mono, 1)])), mono
+
+
+def test_block_split_rejects_a_ring_whose_blocks_differ_from_the_factor():
+    from quotdeg.exactpoly import block_split
+
+    with pytest.raises(DomainError):
+        block_split([TruncPoly.one(square_ring(3))], univariate(4))
+    with pytest.raises(DomainError):
+        block_split([TruncPoly.one(WIDTH_RING)], univariate(3))
+    assert block_split([], univariate(3)) == ((), ())

@@ -274,6 +274,7 @@ def test_a_sign_error_in_the_bundle_diagonal_fails_the_routes(monkeypatch, capsy
     real = varieties.diagonal_class
     real.cache_clear()
     hilb2.blowup_power_pushforward.cache_clear()
+    hilb2._exceptional_split.cache_clear()
     try:
         monkeypatch.setattr(varieties, "diagonal_class", mutant)
         cases = (
@@ -298,4 +299,68 @@ def test_a_sign_error_in_the_bundle_diagonal_fails_the_routes(monkeypatch, capsy
         assert "hilb2 degree routes disagree" in json.loads(capsys.readouterr().out)["error"]
     finally:
         hilb2.blowup_power_pushforward.cache_clear()
+        hilb2._exceptional_split.cache_clear()
         real.cache_clear()
+
+
+# the blow-up route as it was before the one-pass sum: one block pairing of
+# e_m with the Kuenneth sum of (M boxplus M)^{2d-m} per m, kept as the reference
+def reference_blowup_route(space, divisor):
+    from math import comb
+
+    from quotdeg.exactpoly import block_pairing, top_pairing
+
+    d = space.dimension
+    own = [TruncPoly.one(divisor.ring)]
+    for _ in range(d):
+        own.append(own[-1] * divisor)
+    pairs = [top_pairing(own[j], own[d - j]) for j in range(d + 1)]
+    blowup = sum(binomial(d, j) ** 2 * pairs[j] * pairs[d - j] for j in range(d + 1))
+    for m in range(d, 2 * d + 1):
+        e = blowup_power_pushforward(space, m)
+        n = 2 * d - m
+        kuenneth = [(comb(n, j), (own[j], own[n - j])) for j in range(n + 1)]
+        blowup += binomial(2 * d, m) * block_pairing(e, kuenneth)
+    return blowup / 2
+
+
+def test_one_pass_blowup_sum_matches_block_pairings_on_instance_matrix():
+    from fractions import Fraction
+
+    from quotdeg import hilb2
+    from quotdeg.selftest import instance_matrix
+    from quotdeg.varieties import pullback_to_bundle, zeta
+
+    rng = random.Random(29)
+    spaces = {}
+    for S, E in instance_matrix():
+        spaces[S] = None
+        spaces[ProjBundle(S, E)] = None
+    for space in spaces:
+        ngens = ring_of(space).ngens
+        integral = divisor_from_vector(space, [rng.randrange(-2, 4) for _ in range(ngens)])
+        rational = divisor_from_vector(
+            space, [Fraction(rng.randrange(-5, 6), rng.randrange(1, 5)) for _ in range(ngens)]
+        )
+        divisors = [integral, rational]
+        if isinstance(space, ProjBundle):
+            base = divisor_from_vector(space.base, [1] * len(space.base.dims))
+            divisors.append(pullback_to_bundle(space, base) + zeta(space))
+        for M in divisors:
+            assert hilb2._blowup_route(space, M) == reference_blowup_route(space, M), (space, M)
+
+
+def test_exceptional_split_holds_each_exceptional_term_once():
+    from quotdeg import hilb2
+
+    S = ProjProduct((1, 2))
+    X = ProjBundle(S, SplitBundle(tuple(divisor_from_vector(S, v) for v in ((1, 2), (2, 1), (0, 1)))))
+    ms, split = hilb2._exceptional_split(X)
+    d = X.dimension
+    assert ms == tuple(m for m in range(d, 2 * d + 1) if not blowup_power_pushforward(X, m).is_zero())
+    keys = [k for group in split.keys for k in group]
+    assert len(set(keys)) == len(keys)
+    for m, (_, groups) in zip(ms, split.classes):
+        rows = sum(len(r) for _, r in groups)
+        assert rows == 3 * len(blowup_power_pushforward(X, m).terms)
+        assert [i for i, _ in groups] == sorted(i for i, _ in groups)

@@ -412,10 +412,28 @@ def test_formula_cross_check_fires_on_one_corrupted_a_value(monkeypatch, corrupt
     def corrupted(r, d, k, j):
         return a_coeff(r, d, k, j) + ((k, j) == corrupt_kj)
 
+    # the formula reads its weights from a table built once per (r, d)
+    quot2._pair_weights.cache_clear()
     monkeypatch.setattr(quot2, "a_coeff", corrupted)
     instance = inst(P2, bundle(P2, (0,), (1,)), 2)
-    with pytest.raises(CrossCheckError, match="degree pipelines disagree"):
-        degree2_all(instance)
+    try:
+        with pytest.raises(CrossCheckError, match="degree pipelines disagree"):
+            degree2_all(instance)
+    finally:
+        quot2._pair_weights.cache_clear()
+
+
+def test_pair_weights_match_fresh_a_values():
+    for r in range(1, 7):
+        for d in range(1, 7):
+            table = quot2._pair_weights(r, d)
+            assert len(table) == d + 1
+            for k, row in enumerate(table):
+                assert len(row) == (d - k) // 2 + 1
+                for j, weight in enumerate(row):
+                    i = d - k - j
+                    expected = a_coeff(r, d, k, j) + (a_coeff(r, d, k, i) if i != j else 0)
+                    assert weight == expected, (r, d, k, j)
 
 
 def test_projbundle_direct_check_fires_on_corrupted_closed_integrals(monkeypatch):
