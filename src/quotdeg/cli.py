@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CrossCheckError, DomainError, RingMismatchError
+from .errors import CrossCheckError, DomainError
 from .exactpoly import DegreePolynomial, TruncPoly
 from .grassmann import schubert_degree, syt_count
 from .hilb2 import hilb2_degree
@@ -161,8 +161,11 @@ def _load_json(text_or_path: str):
     except json.JSONDecodeError:
         if text_or_path.strip().startswith("{"):
             raise
-    with open(text_or_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(text_or_path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DomainError(str(exc)) from None
 
 
 def _ints(values) -> list[int]:
@@ -216,10 +219,15 @@ def _rational(text: str) -> Fraction:
         return Fraction(text.replace("\u2212", "-"))
     except ZeroDivisionError:
         raise DomainError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+    try:
+        return [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
 
 
 def _vector_list(text: str) -> list[list[int]]:
@@ -283,7 +291,12 @@ def _cmd_nu(args) -> int:
     data = _load_json(args.space)
     _validate(BASE_SCHEMA, data)
     space = _parse_base(data)
-    E = _parse_bundle(space, {"roots": _vector_list(args.roots)})
+    roots = _vector_list(args.roots)
+    if not roots:
+        raise DomainError("a split bundle needs at least one root")
+    E = _parse_bundle(space, {"roots": roots})
+    if args.l < 1:
+        raise DomainError("l must be positive")
     rep = nu_class(space, E, args.l, args.k)
     _emit({"l": args.l, "k": args.k, "class": rep.rep.to_dict()})
     return 0
@@ -498,13 +511,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DomainError,
-        RingMismatchError,
-        json.JSONDecodeError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (DomainError, json.JSONDecodeError, FileNotFoundError) as exc:
         _emit({"error": str(exc)})
         return 2
     except CrossCheckError as exc:

@@ -71,16 +71,14 @@ by total degree, with `int` numerators over one common denominator:
   forms, and the top monomial is the top monomial of each block.  The top
   coefficient of (alpha (x) beta) * (x^k1 (x) x^k2) is therefore
   <alpha, x^k1><beta, x^k2>, each a top coefficient on the factor ring (the
-  Kuenneth property).  `block_pairing` integrates a class c of such a ring
-  against a sum of products alpha (x) beta that way: block 1 keeps the
-  factor ring's fields and block 2 sits just above them, so one mask and one
-  shift split each key of c; each <alpha, x^k> is `top_pairing`'s pre-top
-  lookup for the one key k, memoised per call; and c's terms are grouped by
-  block-1 degree, so each is visited once per product of complementary
-  degrees.  No class on the two-block ring is formed.  A class paired many
-  times is split once instead (`block_split`): its terms become flat rows
+  Kuenneth property).  Block 1 keeps the factor ring's fields and block 2
+  sits just above them, so one mask and one shift split each key:
+  `block_split` turns classes of such a ring into flat rows
   (k1, k2, numerator) over one table of factor keys, grouped by block-1
-  degree, and `top_pairings` reads <alpha, x^k> for a list of keys.
+  degree, and `top_pairings` reads <alpha, x^k> for a list of keys by
+  `top_pairing`'s pre-top lookup.  A class pairs with alpha (x) beta as the
+  sum over its rows of numerator <alpha, x^k1><beta, x^k2>, with no class on
+  the two-block ring formed.
 * Coefficients.  Numerators are ints over one positive denominator, and the
   pair (denominator, numerators) is kept reduced, so two equal polynomials
   have identical storage.  Relation coefficients are integers (Chern classes
@@ -117,7 +115,6 @@ __all__ = [
     "series_inverse",
     "top_pairing",
     "block_products",
-    "block_pairing",
     "BlockSplit",
     "block_split",
     "top_pairings",
@@ -802,89 +799,6 @@ def block_products(
     return TruncPoly._make(ring, den, buckets)
 
 
-def block_pairing(
-    c: TruncPoly, terms: Iterable[tuple[object, tuple[TruncPoly, TruncPoly]]]
-) -> Fraction:
-    """Top coefficient of c * sum coeff (alpha (x) beta), for c a class on a
-    ring of two blocks that both repeat the ring of the factors alpha, beta,
-    one (coefficient, (alpha, beta)) pair per term, the coefficients ints or
-    Fractions.  No class on the two-block ring is formed: c's term at
-    x^k1 (x) x^k2 pairs with alpha (x) beta to <alpha, x^k1><beta, x^k2>, each
-    factor read off the factor ring's pre-top table (module docstring)."""
-    terms = [(coeff, pair) for coeff, pair in terms if coeff]
-    if not terms:
-        return Fraction(0)
-    factor = terms[0][1][0].ring
-    for _, pair in terms:
-        for a in pair:
-            if a.ring is not factor and a.ring != factor:
-                raise RingMismatchError("the factors of a block pairing must share one ring")
-    ring, width = c.ring, factor.ngens
-    if (
-        factor.blocks != (tuple(range(width)),)
-        or ring.blocks != (tuple(range(width)), tuple(range(width, 2 * width)))
-        or ring._block_signatures != factor._block_signatures * 2
-    ):
-        raise DomainError("both blocks of the class's ring must repeat the factors' ring")
-    # block 1 keeps the factor ring's fields and block 2 sits just above them
-    shift = ring._layout.shifts[width]
-    mask = (1 << shift) - 1
-    fields = tuple(zip(factor._layout.shifts, factor._layout.value_masks))
-    top = factor.max_degree
-    related_mask, entries = factor._pre_top_by_related
-    # id(factor) -> key -> <factor, x^key>, by `top_pairing`'s lookup for one key
-    known: dict[int, dict[int, int]] = {id(a): {} for _, pair in terms for a in pair}
-    den = lcm(*(coeff.denominator * a._den * b._den for coeff, (a, b) in terms))
-    total = 0
-    for degree, bucket in enumerate(c._buckets):
-        if not bucket:
-            continue
-        # this bucket's terms by block-1 key, and those keys by degree
-        rows: dict[int, list[tuple[int, int]]] = {}
-        by_degree: dict[int, list[int]] = {}
-        for key, num in bucket.items():
-            k1 = key & mask
-            row = rows.get(k1)
-            if row is None:
-                row = rows[k1] = []
-                i = 0
-                for s, v in fields:
-                    i += (k1 >> s) & v
-                by_degree.setdefault(i, []).append(k1)
-            row.append((key >> shift, num))
-        for coeff, (a, b) in terms:
-            A, B = a._buckets, b._buckets
-            values_a, values_b = known[id(a)], known[id(b)]
-            term_sum = 0
-            for i, keys in by_degree.items():
-                j = degree - i  # the block-2 degree
-                if not (top - i < len(A) and top - j < len(B) and A[top - i] and B[top - j]):
-                    continue
-                get_a, get_b = A[top - i].get, B[top - j].get
-                for k1 in keys:
-                    pa = values_a.get(k1)
-                    if pa is None:
-                        pa = 0
-                        for p, t in entries[k1 & related_mask]:
-                            pa += t * get_a(p - k1, 0)
-                        values_a[k1] = pa
-                    if not pa:
-                        continue
-                    inner = 0
-                    for k2, num in rows[k1]:
-                        pb = values_b.get(k2)
-                        if pb is None:
-                            pb = 0
-                            for p, t in entries[k2 & related_mask]:
-                                pb += t * get_b(p - k2, 0)
-                            values_b[k2] = pb
-                        inner += num * pb
-                    term_sum += pa * inner
-            scale = den // (coeff.denominator * a._den * b._den)
-            total += coeff.numerator * scale * term_sum
-    return Fraction(total, den * c._den)
-
-
 class BlockSplit(NamedTuple):
     """Classes of a two-block ring split into their blocks (`block_split`).
 
@@ -903,8 +817,10 @@ def block_split(classes: Sequence[TruncPoly], factor: RingDescriptor) -> BlockSp
     """Split classes of a ring whose two blocks repeat `factor` into rows
     over one shared table of factor keys, so each monomial of the factor is
     stored once.  Block 1 keeps the factor ring's fields and block 2 sits
-    just above them (`block_pairing`), so one mask and one shift split a
-    key; the numerators are the classes' own."""
+    just above them, so one mask and one shift split a key; the numerators
+    are the classes' own.  A row pairs with alpha (x) beta to its numerator
+    times <alpha, x^k1><beta, x^k2> (`top_pairings`), over the class's
+    denominator (module docstring)."""
     width = factor.ngens
     blocks = (tuple(range(width)), tuple(range(width, 2 * width)))
     if factor.blocks != blocks[:1] or any(

@@ -17,7 +17,7 @@ just add to a normal form; the terms for different j have different degrees
 in the first block, so they never collide.  The degree evaluator forms no
 class on the square for them: every relation of the square ring acts within
 one block, so int (alpha (x) beta) * c is read one block at a time on X (the
-Kuenneth property of `block_pairing`), and in
+Kuenneth property, as in the `exactpoly` module docstring), and in
 int (M boxplus M)^d (M boxplus M)^d only the pairs with j + j' = d have top
 degree in each block, each a product of two integrals on X.  The blow-up
 route computes its powers of M itself and shares none of them with the
@@ -202,8 +202,8 @@ def _blowup_route(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
 
     The m = 0 term, e_0 = 1, is sum_j binom(d, j)^2 <M^j, M^{d-j}>^2 on X.
     For m >= d, e_m is homogeneous of degree m, and its term at
-    x^k1 (x) x^k2 pairs only with j = d - deg k1 (the Kuenneth property,
-    `block_pairing`), to phi(k1) phi(k2) with phi(k) = <M^{d - deg k}, x^k>;
+    x^k1 (x) x^k2 pairs only with j = d - deg k1 (the Kuenneth property of
+    `block_split`), to phi(k1) phi(k2) with phi(k) = <M^{d - deg k}, x^k>;
     so the term of m is
         binom(2d, m) sum_{k1, k2} binom(2d - m, d - deg k1) e_m[k1, k2] phi(k1) phi(k2).
     The e_m are split into their blocks once per space (`_exceptional_split`),
@@ -220,13 +220,9 @@ def _blowup_route(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
     blowup = sum(binomial(d, j) ** 2 * pairs[j] * pairs[d - j] for j in range(d + 1))
     ms, split = _exceptional_split(space)
     # phi(k) for each monomial x^k of the split, over one denominator
-    dens, values = [], []
-    for i, keys in enumerate(split.keys):
-        den, nums = top_pairings(own[d - i], keys)
-        dens.append(den)
-        values.append(nums)
-    den = lcm(*dens)
-    phi = [v * (den // kd) for kd, nums in zip(dens, values) for v in nums]
+    pairings = [top_pairings(own[d - i], keys) for i, keys in enumerate(split.keys)]
+    den = lcm(*(kd for kd, _ in pairings))
+    phi = [v * (den // kd) for kd, nums in pairings for v in nums]
     for m, (e_den, groups) in zip(ms, split.classes):
         total = 0
         for i, rows in groups:

@@ -33,7 +33,14 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .errors import CrossCheckError, DomainError
-from .exactpoly import DegreePolynomial, TruncPoly, binomial, block_pairing, poly_interpolate
+from .exactpoly import (
+    DegreePolynomial,
+    TruncPoly,
+    binomial,
+    block_split,
+    poly_interpolate,
+    top_pairings,
+)
 from .hilb2 import hilb2_degree, pair_power_pushforward_table
 from .jacobi import a_coeff
 from .symquot import (
@@ -270,20 +277,25 @@ def degree2_polynomial(
     if poly.evaluate(2 * d + 1) != values[2 * d + 1][1]:
         raise CrossCheckError("degree polynomial fails at the verification point")
     coeffs = list(poly.coefficients) + [Fraction(0)] * (2 * d + 1 - len(poly.coefficients))
-    # (H boxplus H)^m = sum_a binom(m, a) H^a (x) H^{m-a}, from the check's own
-    # powers of H; the terms with a or m - a above d vanish
+    # nu_j pairs with (H boxplus H)^m = sum_a binom(m, a) H^a (x) H^{m-a}, from
+    # the check's own powers of H.  nu_j is homogeneous of degree j, so its term
+    # at x^k1 (x) x^k2 meets only a = d - deg k1 (the Kuenneth property), to
+    # phi(k1) phi(k2) with phi(k) = <H^{d - deg k}, x^k>, read once per monomial
     H = [TruncPoly.one(direction.ring)]
     for _ in range(d):
         H.append(H[-1] * direction)
-    for j in range(d):
+    split = block_split([nu_class(S, E, 2, j).rep for j in range(d)], ring_of(S))
+    pairings = [top_pairings(H[d - i], keys) for i, keys in enumerate(split.keys)]
+    den = lcm(*(kd for kd, _ in pairings))
+    phi = [v * (den // kd) for kd, nums in pairings for v in nums]
+    for j, (nu_den, groups) in enumerate(split.classes):
         m = 2 * d - j
-        kuenneth = [(comb(m, a), (H[a], H[m - a])) for a in range(m - d, d + 1)]
-        integral = block_pairing(nu_class(S, E, 2, j).rep, kuenneth)
-        predicted = binomial(2 * p, 2 * d - j) * integral / 2
-        if coeffs[2 * d - j] != predicted:
-            raise CrossCheckError(
-                f"coefficient of n^{2 * d - j} disagrees with the multinomial prediction"
-            )
+        total = 0
+        for i, rows in groups:
+            it = iter(rows)
+            total += comb(m, d - i) * sum(num * phi[a] * phi[b] for a, b, num in zip(it, it, it))
+        if coeffs[m] != Fraction(comb(2 * p, m) * total, 2 * nu_den * den * den):
+            raise CrossCheckError(f"coefficient of n^{m} disagrees with the multinomial prediction")
     return poly
 
 

@@ -684,3 +684,79 @@ def test_bad_rational_text_keeps_its_message(capsys):
     code, out = run(capsys, ["beauville", "--l", "2", "--c1sq", "x"])
     assert code == 2
     assert json.loads(out) == {"error": "Invalid literal for Fraction: 'x'"}
+
+
+_SPACE_P1P1 = '{"type": "projective_product", "dims": [1, 1]}'
+_INSTANCE_P1P1 = json.dumps(
+    {
+        "base": {"type": "projective_product", "dims": [1, 1]},
+        "bundle": {"roots": [[1, 0], [0, 1]]},
+        "twist": [1, 1],
+    }
+)
+_NOT_AN_INT = "invalid literal for int() with base 10: 'x'"
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["mu-p1-coeffs", "--r", "2", "--l", "2", "--poly", ","],
+            "Invalid literal for Fraction: ''",
+        ),
+        (
+            ["jacobi", "--alpha", "1", "--beta", "1", "--n", "2", "--z", "x"],
+            "Invalid literal for Fraction: 'x'",
+        ),
+        (["localise", "--r", "2", "--roots", "0,x", "--l", "2", "--n", "1"], _NOT_AN_INT),
+        (["hilb2", "--space", _SPACE_P1P1, "--divisor", "1,x"], _NOT_AN_INT),
+        (["nu", "--space", _SPACE_P1P1, "--roots", "1,x", "--l", "2", "--k", "1"], _NOT_AN_INT),
+        (["multint", "--input", _INSTANCE_P1P1, "--divisors", "1,x", "--l", "2"], _NOT_AN_INT),
+        (
+            ["nu", "--space", _SPACE_P1P1, "--roots", "", "--l", "2", "--k", "1"],
+            "a split bundle needs at least one root",
+        ),
+        (
+            ["nu", "--space", _SPACE_P1P1, "--roots", "1,0", "--l", "0", "--k", "0"],
+            "l must be positive",
+        ),
+        (["degree2", "--input", "{not_utf8}", "--n", "1"], _NOT_UTF8),
+        (["hilb2", "--space", "{not_utf8}", "--divisor", "1,1"], _NOT_UTF8),
+    ],
+    ids=[
+        "mu-p1-coeffs-poly",
+        "jacobi-z",
+        "localise-roots",
+        "hilb2-divisor",
+        "nu-roots",
+        "multint-divisors",
+        "nu-no-roots",
+        "nu-l-zero",
+        "degree2-input-not-utf8",
+        "hilb2-space-not-utf8",
+    ],
+)
+def test_invalid_flag_text_exits_2_with_its_message(capsys, tmp_path, argv, message):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff{"type": "projective_product"}')
+    code, out = run(capsys, [str(path) if arg == "{not_utf8}" else arg for arg in argv])
+    assert code == 2
+    assert out == json.dumps({"error": message}) + "\n"
+
+
+def test_a_value_error_inside_a_pipeline_exits_1_with_its_traceback():
+    # an internal fault is not invalid input: no JSON line, the traceback on stderr
+    script = (
+        "import sys\nfrom quotdeg import cli\n"
+        "def fault(inst):\n    raise ValueError('an internal fault')\n"
+        "cli.degree2_formula = fault\n"
+        "sys.argv = ['quotdeg', 'degree2', '--pipeline', 'formula', '--n', '1', '--input',"
+        f" {_INSTANCE_P1P1!r}]\n"
+        "cli.entry()\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("Traceback (most recent call last):")
+    assert result.stderr.endswith("ValueError: an internal fault\n")

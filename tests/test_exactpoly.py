@@ -469,4 +469,13 @@ def test_block_split_rejects_a_ring_whose_blocks_differ_from_the_factor():
         block_split([TruncPoly.one(square_ring(3))], univariate(4))
     with pytest.raises(DomainError):
         block_split([TruncPoly.one(WIDTH_RING)], univariate(3))
+    # blocks of another space, three blocks, one block, the square of a bundle
+    # over the factor, and a factor that is itself a square
+    P1, P2 = ProjProduct((1,)), ProjProduct((2,))
+    X = ProjBundle(P1, SplitBundle((divisor_from_vector(P1, [0]), divisor_from_vector(P1, [1]))))
+    shapes = [(space, l, P1, 1) for space, l in ((P2, 2), (P1, 3), (P1, 1), (X, 2))]
+    for space, l, base, k in shapes + [(P1, 4, P1, 2)]:
+        ring, factor = power_ring(space, l), power_ring(base, k)
+        with pytest.raises(DomainError):
+            block_split([TruncPoly.one(power_ring(P1, 2)), TruncPoly.one(ring)], factor)
     assert block_split([], univariate(3)) == ((), ())

@@ -303,28 +303,32 @@ def test_a_sign_error_in_the_bundle_diagonal_fails_the_routes(monkeypatch, capsy
         real.cache_clear()
 
 
-# the blow-up route as it was before the one-pass sum: one block pairing of
-# e_m with the Kuenneth sum of (M boxplus M)^{2d-m} per m, kept as the reference
+# the blow-up route as a square-ring integral: each e_m, e_0 = 1 included,
+# integrated against (M boxplus M)^{2d-m} placed on X x X by block products
 def reference_blowup_route(space, divisor):
     from math import comb
 
-    from quotdeg.exactpoly import block_pairing, top_pairing
+    from quotdeg.exactpoly import block_products, map_blocks
+    from quotdeg.varieties import integrate_product
 
     d = space.dimension
+    square = power_ring(space, 2)
     own = [TruncPoly.one(divisor.ring)]
     for _ in range(d):
         own.append(own[-1] * divisor)
-    pairs = [top_pairing(own[j], own[d - j]) for j in range(d + 1)]
-    blowup = sum(binomial(d, j) ** 2 * pairs[j] * pairs[d - j] for j in range(d + 1))
-    for m in range(d, 2 * d + 1):
-        e = blowup_power_pushforward(space, m)
+    first = [map_blocks(p, square, (0,)) for p in own]
+    second = [map_blocks(p, square, (1,)) for p in own]
+    blowup = 0
+    for m in (0, *range(d, 2 * d + 1)):
         n = 2 * d - m
-        kuenneth = [(comb(n, j), (own[j], own[n - j])) for j in range(n + 1)]
-        blowup += binomial(2 * d, m) * block_pairing(e, kuenneth)
+        js = range(max(0, n - d), min(n, d) + 1)  # M^j vanishes on X for j > d
+        box = block_products(square, [(comb(n, j), [first[j], second[n - j]]) for j in js])
+        e = blowup_power_pushforward(space, m)
+        blowup += binomial(2 * d, m) * integrate_product(space, box, e)
     return blowup / 2
 
 
-def test_one_pass_blowup_sum_matches_block_pairings_on_instance_matrix():
+def test_one_pass_blowup_sum_matches_the_square_ring_integral_on_instance_matrix():
     from fractions import Fraction
 
     from quotdeg import hilb2

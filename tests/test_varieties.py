@@ -9,10 +9,11 @@ from quotdeg.exactpoly import (
     Relation,
     RingDescriptor,
     TruncPoly,
-    block_pairing,
     block_products,
+    block_split,
     map_blocks,
     permute_blocks,
+    top_pairings,
 )
 from quotdeg.varieties import (
     ProjBundle,
@@ -302,7 +303,7 @@ def _every_bucket(rng, ring):
     return TruncPoly(ring, items)
 
 
-def test_block_pairing_matches_the_placed_block_products():
+def test_block_split_rows_pair_like_the_placed_block_products():
     from quotdeg.selftest import instance_matrix
 
     rng = random.Random(28)
@@ -324,26 +325,24 @@ def test_block_pairing_matches_the_placed_block_products():
                 (coeff, [map_blocks(a, square, (0,)), map_blocks(b, square, (1,))])
                 for coeff, (a, b) in terms
             ]
-            for c in (_every_bucket(rng, square), _random_terms(rng, square, 40)):
+            classes = [_every_bucket(rng, square), _random_terms(rng, square, 40)]
+            split = block_split(classes, factor)
+            keys = [k for group in split.keys for k in group]
+            pairings = [
+                (coeff, top_pairings(a, keys), top_pairings(b, keys)) for coeff, (a, b) in terms
+            ]
+            for c, (den, groups) in zip(classes, split.classes):
+                # rows (index of k1, index of k2, numerator), each paired to
+                # num <a, x^k1><b, x^k2> for each term a (x) b
+                rows = [row for _, group in groups for row in zip(*[iter(group)] * 3)]
+                pairing = Fraction(0)
+                for coeff, (a_den, phi_a), (b_den, phi_b) in pairings:
+                    total = sum(num * phi_a[i] * phi_b[j] for i, j, num in rows)
+                    pairing += coeff * Fraction(total, den * a_den * b_den)
                 expected = integrate_product(space, block_products(square, placed), c)
-                assert block_pairing(c, terms) == expected
+                assert pairing == expected
                 nonzero += expected != 0
     assert nonzero > 250
-
-
-def test_block_pairing_refuses_factors_off_the_blocks():
-    h1, h2 = hyperplane(P1, 0), hyperplane(P2, 0)
-    X = ProjBundle(P1, line_bundles(P1, (0,), (1,)))
-    c = TruncPoly.one(power_ring(P1, 2))
-    with pytest.raises(RingMismatchError):
-        block_pairing(c, [(1, (h1, h2))])
-    with pytest.raises(RingMismatchError):
-        block_pairing(c, [(1, (h1, h1)), (2, (h2, h2))])
-    for ring in (power_ring(P2, 2), power_ring(P1, 3), ring_of(P1), power_ring(X, 2)):
-        with pytest.raises(DomainError):
-            block_pairing(TruncPoly.one(ring), [(1, (h1, h1))])
-    with pytest.raises(DomainError):
-        block_pairing(TruncPoly.one(power_ring(P1, 4)), [(1, (c, c))])
 
 
 def test_pre_top_table_of_projective_products_is_the_top_monomial():
