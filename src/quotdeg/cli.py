@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CrossCheckError, DomainError
+from .errors import CrossCheckError, DomainError, confirm
 from .exactpoly import DegreePolynomial, TruncPoly
 from .grassmann import schubert_degree, syt_count
 from .hilb2 import hilb2_degree
@@ -366,10 +366,7 @@ def _cmd_jacobi(args) -> int:
         finite = jacobi_finite_sum(params)
     except DomainError:  # outside the finite sum's domain the series is the only route
         finite = value
-    if finite != value:
-        raise CrossCheckError(
-            f"Jacobi routes disagree: hypergeometric {value}, finite sum {finite}"
-        )
+    confirm(value, finite, "Jacobi routes disagree: hypergeometric vs finite sum", params=params)
     _emit({"value": str(value)})
     return 0
 
@@ -515,7 +512,7 @@ def main(argv=None) -> int:
         _emit({"error": str(exc)})
         return 2
     except CrossCheckError as exc:
-        _emit({"error": str(exc)})
+        _emit({"error": str(exc), **exc.to_json()})
         return 3
 
 

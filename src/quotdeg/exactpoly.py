@@ -477,8 +477,13 @@ class TruncPoly:
 
     @classmethod
     def generator(cls, ring: RingDescriptor, i: int) -> "TruncPoly":
-        mono = tuple(1 if j == i else 0 for j in range(ring.ngens))
-        return cls(ring, [(mono, 1)])
+        """The i-th generator in normal form, built without a product: of
+        truncation 1 it is its relation's first rewrite row, or zero."""
+        layout = ring._layout
+        if ring.truncations[i] > 1:
+            return cls._make(ring, 1, [{}, {1 << layout.shifts[i]: 1}])
+        rows = [table[0] for r, (*_, table) in zip(ring.relations, layout.rewrites) if r.gen == i]
+        return cls._make(ring, 1, [{}, dict(rows[0])] if rows else [])
 
     # -- inspection ---------------------------------------------------
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .errors import CrossCheckError, DomainError
+from .errors import DomainError, confirm
 from .exactpoly import (
     BlockSplit,
     TruncPoly,
@@ -187,12 +187,8 @@ def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
             * integrate_product(space, powers[d - m], segre.graded_part(m))
         )
     closed -= Fraction(2) ** (d - 1) * correction
-    blowup_route = _blowup_route(space, divisor)
-    if closed != blowup_route:
-        raise CrossCheckError(
-            f"hilb2 degree routes disagree: closed form {closed}, blow-up route {blowup_route}"
-        )
-    return closed
+    routes = "hilb2 degree routes disagree: closed form vs blow-up route"
+    return confirm(closed, _blowup_route(space, divisor), routes, space=space, divisor=divisor)
 
 
 def _blowup_route(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:

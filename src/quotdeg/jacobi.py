@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import CrossCheckError, DomainError
+from .errors import DomainError, confirm
 from .exactpoly import binomial
 
 __all__ = [
@@ -127,10 +127,6 @@ def a_coeff(r: int, d: int, k: int, j: int) -> Fraction:
     # a_j = (-1)^(d-k) P_n^(alpha,beta)(0) / 2^(d-j) with n = r-1+j; at z = 0,
     # v = -1/2, so the numerator over Q^n = 2^n makes the denominator 2^p too
     value = jacobi_finite_sum_numerator(p + d - j, -p - k - j, r - 1 + j, -1, 2)
-    via_jacobi = (-1) ** (d - k) * value
-    if direct != via_jacobi:
-        raise CrossCheckError(
-            f"a_coeff routes disagree for r={r} d={d} k={k} j={j}: "
-            f"{Fraction(direct, 2**p)} vs {Fraction(via_jacobi, 2**p)}"
-        )
+    routes = "a_coeff routes disagree: 2^p a_j by direct sum vs by Jacobi value"
+    confirm(direct, (-1) ** (d - k) * value, routes, r=r, d=d, k=k, j=j)
     return Fraction(direct, 2**p)

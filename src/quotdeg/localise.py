@@ -82,7 +82,7 @@ from math import prod
 from operator import mul
 from typing import Sequence
 
-from .errors import CrossCheckError, DomainError
+from .errors import CrossCheckError, DomainError, confirm
 from .exactpoly import DegreePolynomial, compositions, poly_interpolate
 
 __all__ = [
@@ -250,13 +250,12 @@ def _localised_values(
         taken.append(wt.w)
         per_draw.append([_table_sum(tables, r, l, n, wt.w) for n in ns])
     out = []
-    for values in zip(*per_draw):
-        values = list(values)
-        if any(v != values[0] for v in values[1:]):
-            raise CrossCheckError(f"weight draws disagree: {values}")
-        if values[0].denominator != 1:
-            raise CrossCheckError(f"localised degree is not an integer: {values[0]}")
-        out.append(values[0])
+    for n, (first, *others) in zip(ns, zip(*per_draw)):
+        for i, value in enumerate(others, 1):
+            confirm(first, value, "weight draws disagree: draw 0 vs draw i", n=n, i=i)
+        if first.denominator != 1:
+            raise CrossCheckError(f"localised degree is not an integer: {first}")
+        out.append(first)
     return out
 
 
@@ -281,6 +280,6 @@ def degree_polynomial_localised(
     verified at n = l + 1."""
     values = list(enumerate(_localised_values(r, a, l, range(l + 2), seed)))
     poly = poly_interpolate(values[: l + 1])
-    if poly.evaluate(l + 1) != values[l + 1][1]:
-        raise CrossCheckError("localised degree polynomial fails at the verification point")
+    routes = "localised degree polynomial fails at the verification point: interpolant vs sum"
+    confirm(poly.evaluate(l + 1), values[l + 1][1], routes, r=r, a=a, l=l, n=l + 1)
     return poly

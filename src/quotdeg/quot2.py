@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .errors import CrossCheckError, DomainError
+from .errors import CrossCheckError, DomainError, confirm
 from .exactpoly import (
     DegreePolynomial,
     TruncPoly,
@@ -219,15 +219,13 @@ def degree2_projbundle(inst: Quot2Instance) -> Fraction:
     for _ in range(p - 1):
         M_powers.append(M_powers[-1] * M)
     segre_X = segre_scheme(X)
+    where = {"space": S, "bundle": inst.E, "twist": inst.Lc1}
     for m in range(p + 1):
         direct = integrate_product(X, M_powers[p - m], segre_X.graded_part(m))
-        if direct != closed[m]:
-            raise CrossCheckError(
-                f"fibre integral I_{m} mismatch: closed {closed[m]}, direct {direct}"
-            )
+        confirm(closed[m], direct, f"fibre integral I_{m} mismatch: closed vs direct", **where)
     sd = integrate(S, segre_EL.graded_part(d))
-    if closed[0] != Fraction(-1) ** d * sd:
-        raise CrossCheckError("I_0 does not reduce to the top Segre integral")
+    routes = "I_0 does not reduce to the top Segre integral: closed I_0 vs (-1)^d int s_d"
+    confirm(closed[0], Fraction(-1) ** d * sd, routes, **where)
     total = Fraction(1, 2) * binomial(2 * p, p) * closed[0] ** 2
     series = sum(
         binomial(2 * p, p + m) * Fraction(1, 2**m) * closed[m] for m in range(p + 1)
@@ -248,12 +246,9 @@ def degree2_all(inst: Quot2Instance) -> Fraction:
     formula = degree2_formula(inst)
     projbundle = degree2_projbundle(inst)
     geometric = degree2_geometric(inst)
-    if not formula == projbundle == geometric:
-        raise CrossCheckError(
-            f"degree pipelines disagree: formula {formula}, "
-            f"projective bundle {projbundle}, geometric {geometric}"
-        )
-    return formula
+    where = {"space": inst.S, "bundle": inst.E, "twist": inst.Lc1}
+    confirm(formula, projbundle, "degree pipelines disagree: formula vs projective bundle", **where)
+    return confirm(formula, geometric, "degree pipelines disagree: formula vs geometric", **where)
 
 
 def degree2_polynomial(
@@ -274,8 +269,9 @@ def degree2_polynomial(
         inst = Quot2Instance(S, E, n * direction)
         values.append((n, degree2_formula(inst)))
     poly = poly_interpolate(values[: 2 * d + 1])
-    if poly.evaluate(2 * d + 1) != values[2 * d + 1][1]:
-        raise CrossCheckError("degree polynomial fails at the verification point")
+    where = {"space": S, "bundle": E, "direction": direction}
+    routes = "degree polynomial fails at the verification point: interpolant vs formula"
+    confirm(poly.evaluate(2 * d + 1), values[2 * d + 1][1], routes, n=2 * d + 1, **where)
     coeffs = list(poly.coefficients) + [Fraction(0)] * (2 * d + 1 - len(poly.coefficients))
     # nu_j pairs with (H boxplus H)^m = sum_a binom(m, a) H^a (x) H^{m-a}, from
     # the check's own powers of H.  nu_j is homogeneous of degree j, so its term
@@ -294,8 +290,9 @@ def degree2_polynomial(
         for i, rows in groups:
             it = iter(rows)
             total += comb(m, d - i) * sum(num * phi[a] * phi[b] for a, b, num in zip(it, it, it))
-        if coeffs[m] != Fraction(comb(2 * p, m) * total, 2 * nu_den * den * den):
-            raise CrossCheckError(f"coefficient of n^{m} disagrees with the multinomial prediction")
+        predicted = Fraction(comb(2 * p, m) * total, 2 * nu_den * den * den)
+        routes = f"coefficient of n^{m} disagrees with the multinomial prediction: formula vs nu"
+        confirm(coeffs[m], predicted, routes, **where)
     return poly
 
 

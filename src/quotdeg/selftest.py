@@ -13,9 +13,8 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from .errors import CrossCheckError
+from .errors import CrossCheckError, confirm
 from .exactpoly import (
-    DegreePolynomial,
     RingDescriptor,
     TruncPoly,
     binomial,
@@ -69,26 +68,6 @@ P1xP1 = ProjProduct((1, 1))
 SPACES = (P1, P2, P3, P1xP1)
 
 
-def _check(ok: bool, message: str) -> None:
-    """Raise CrossCheckError unless ok; unlike assert, it survives python -O."""
-    if not ok:
-        raise CrossCheckError(message)
-
-
-def _text(value) -> str:
-    if isinstance(value, (list, tuple, DegreePolynomial)):
-        return "[" + ", ".join(map(str, value)) + "]"
-    return str(value)
-
-
-def _check_equal(got, want, routes: str, **instance) -> None:
-    """Raise CrossCheckError unless got == want.  The message names the two
-    routes, the instance and both values; it is formatted only on failure."""
-    if got != want:
-        where = ", ".join(f"{key}={_text(value)}" for key, value in instance.items())
-        raise CrossCheckError(f"{routes} at {where}: {_text(got)} != {_text(want)}")
-
-
 def _bundle(space, *vectors):
     return SplitBundle(tuple(divisor_from_vector(space, vec) for vec in vectors))
 
@@ -115,7 +94,7 @@ def crit_hilb2_convention_lock() -> str:
     scheme of the line equals (n-1)^2, through both internal routes."""
     h = hyperplane(P1, 0)
     for n in range(6):
-        _check_equal(hilb2_degree(P1, n * h), (n - 1) ** 2, "lock: hilb2_degree vs (n - 1)^2", n=n)
+        confirm(hilb2_degree(P1, n * h), (n - 1) ** 2, "lock: hilb2_degree vs (n - 1)^2", n=n)
     return "n = 0..5"
 
 
@@ -128,7 +107,8 @@ def crit_degree2_pipeline_agreement() -> str:
         for n in range(5):
             degree2_all(Quot2Instance(space, E, n * direction))
             instances += 1
-    _check(instances >= 300, f"only {instances} instances")
+    if instances < 300:  # not an assert, which python -O removes
+        raise CrossCheckError(f"only {instances} instances")
     return f"{instances} instances"
 
 
@@ -144,7 +124,7 @@ def crit_degree2_golden_polynomials() -> str:
     ]
     for space, E, expected in golden:
         got = list(degree2_polynomial(space, E))
-        _check_equal(got, expected, "degree2_polynomial vs golden", space=space, bundle=E)
+        confirm(got, expected, "degree2_polynomial vs golden", space=space, bundle=E)
     return "6 reference polynomials"
 
 
@@ -157,7 +137,7 @@ def crit_localisation_oracle() -> str:
             E = _bundle(P1, *((c,) for c in roots))
             localised = degree_polynomial_localised(r, roots, 2)
             routes = "degree_polynomial_localised vs degree2_polynomial"
-            _check_equal(localised, degree2_polynomial(P1, E), routes, roots=roots, l=2)
+            confirm(localised, degree2_polynomial(P1, E), routes, roots=roots, l=2)
             checked += 1
     for m in (1, 2):
         for roots in ((0, 0), (1, -1, 0)):
@@ -166,7 +146,7 @@ def crit_localisation_oracle() -> str:
             unshifted = plucker_degree_localised(r, roots, 2, 3)
             shifted_degree = plucker_degree_localised(r, shifted, 2, 3 - m)
             routes = f"localised degree at n=3 vs at roots + {m}, n={3 - m}"
-            _check_equal(unshifted, shifted_degree, routes, roots=roots, l=2)
+            confirm(unshifted, shifted_degree, routes, roots=roots, l=2)
     return f"{checked} degree polynomials"
 
 
@@ -176,14 +156,14 @@ def crit_grassmannian_degrees() -> str:
     for l in range(1, 5):
         for r in range(l + 1, 13):
             routes = "schubert_degree vs syt_count"
-            _check_equal(schubert_degree(l, r), syt_count(l, r - l), routes, l=l, r=r)
+            confirm(schubert_degree(l, r), syt_count(l, r - l), routes, l=l, r=r)
     for r in range(3, 21):
         routes = "catalan_degree vs schubert_degree"
-        _check_equal(catalan_degree(r), schubert_degree(2, r), routes, l=2, r=r)
+        confirm(catalan_degree(r), schubert_degree(2, r), routes, l=2, r=r)
     for r in range(2, 13):
         for l in range(1, r):
             routes = "schubert_degree at l vs at r - l"
-            _check_equal(schubert_degree(l, r), schubert_degree(r - l, r), routes, l=l, r=r)
+            confirm(schubert_degree(l, r), schubert_degree(r - l, r), routes, l=l, r=r)
     return "l <= 4, r <= 12; Catalan r <= 20"
 
 
@@ -200,11 +180,11 @@ def crit_jacobi_sums() -> str:
                 for z in zs:
                     p = JacobiParams(Fraction(alpha), Fraction(beta), n, z)
                     routes = "jacobi_finite_sum vs jacobi_hyp"
-                    _check_equal(jacobi_finite_sum(p), jacobi_hyp(p), routes, params=p)
+                    confirm(jacobi_finite_sum(p), jacobi_hyp(p), routes, params=p)
                     checked += 1
                 at_one = JacobiParams(Fraction(alpha), Fraction(beta), n, Fraction(1))
                 routes = "jacobi_hyp vs binomial(n + alpha, n)"
-                _check_equal(jacobi_hyp(at_one), binomial(n + alpha, n), routes, params=at_one)
+                confirm(jacobi_hyp(at_one), binomial(n + alpha, n), routes, params=at_one)
     for r in range(1, 6):
         for d in range(1, 5):
             for k in range(d + 1):
@@ -234,7 +214,7 @@ def crit_diagonal_defect_classes() -> str:
         defect_top = mu2_classes(space, EL)[2 * d].rep - nu_class(space, EL, 2, 2 * d).rep
         split = leading + integrate(space, defect_top) / 2
         routes = "degree2_formula vs leading term + defect / 2"
-        _check_equal(value, split, routes, space=space, bundle=E, n=1)
+        confirm(value, split, routes, space=space, bundle=E, n=1)
         combos += 1
     return f"{combos} (space, bundle) pairs"
 
@@ -256,21 +236,20 @@ def crit_multinomial_class_laws() -> str:
                     expected0 = Fraction(factorial(l * (r - 1)), factorial(r - 1) ** l)
                     constant0 = TruncPoly.constant(power_ring(space, l), expected0)
                     routes = "nu_class vs closed form"
-                    _check_equal(rep0.rep, constant0, routes, space=space, bundle=E, l=l, k=0)
+                    confirm(rep0.rep, constant0, routes, space=space, bundle=E, l=l, k=0)
                     c1 = sum(E.roots, TruncPoly.zero(ring_of(space)))
                     coeff1 = Fraction(
                         factorial(l * (r - 1) + 1), factorial(r - 1) ** (l - 1) * factorial(r)
                     )
                     rep1 = nu_class(space, E, l, 1)
                     expected1 = coeff1 * boxsum(space, l, c1)
-                    _check_equal(rep1.rep, expected1, routes, space=space, bundle=E, l=l, k=1)
+                    confirm(rep1.rep, expected1, routes, space=space, bundle=E, l=l, k=1)
     for l in (2, 3):
         for r in (1, 2, 3, 4):
             E = _bundle(P2, *([(0,)] * r))
             for k in range(1, min(l * 2, 3) + 1):
                 rep = nu_class(P2, E, l, k).rep
-                routes = "nu_class of a trivial bundle vs 0"
-                _check_equal(rep, 0, routes, space=P2, bundle=E, l=l, k=k)
+                confirm(rep, 0, "nu_class of a trivial bundle vs 0", space=P2, bundle=E, l=l, k=k)
     rng = random.Random(2024)
     for _ in range(50):
         space = rng.choice((P1, P2))
@@ -324,38 +303,38 @@ def crit_engine_invariants() -> str:
         for _ in range(25):
             a, b, c = (random_poly(ring) for _ in range(3))
             instance = {"ring": ring.names, "a": a, "b": b, "c": c}
-            _check_equal((a * b) * c, a * (b * c), "(ab)c vs a(bc)", **instance)
-            _check_equal(a * b, b * a, "ab vs ba", **instance)
-            _check_equal(a * (b + c), a * b + a * c, "a(b + c) vs ab + ac", **instance)
+            confirm((a * b) * c, a * (b * c), "(ab)c vs a(bc)", **instance)
+            confirm(a * b, b * a, "ab vs ba", **instance)
+            confirm(a * (b + c), a * b + a * c, "a(b + c) vs ab + ac", **instance)
         for _ in range(100):
             u = random_poly(ring)
             u = u - u.constant_term() + 1
             routes = "series_inverse(u) u vs 1"
-            _check_equal(series_inverse(u) * u, TruncPoly.one(ring), routes, ring=ring.names, u=u)
+            confirm(series_inverse(u) * u, TruncPoly.one(ring), routes, ring=ring.names, u=u)
     square = power_ring(P2, 2)
     for _ in range(20):
         a = random_poly(square)
         swapped = permute_blocks(a, (1, 0))
         b = random_poly(square)
         lhs, rhs = permute_blocks(a * b, (1, 0)), swapped * permute_blocks(b, (1, 0))
-        _check_equal(lhs, rhs, "swap(ab) vs swap(a) swap(b)", ring=square.names, a=a, b=b)
+        confirm(lhs, rhs, "swap(ab) vs swap(a) swap(b)", ring=square.names, a=a, b=b)
     spaces = [P1, P2, P3, P1xP1, ProjBundle(P1, _bundle(P1, (0,), (1,)))]
     for space in spaces:
         diag = diagonal_class(space)
         routes = "diagonal self-intersection vs euler_number"
-        _check_equal(integrate(space, diag * diag), euler_number(space), routes, space=space)
+        confirm(integrate(space, diag * diag), euler_number(space), routes, space=space)
         ring = ring_of(space)
         for _ in range(10):
             a, b = random_poly(ring), random_poly(ring)
             lhs = integrate(space, diagonal_pushforward(space, a) * block_embed(space, 2, 1, b))
             routes = "projection formula: both sides"
-            _check_equal(lhs, integrate(space, a * b), routes, space=space, a=a, b=b)
+            confirm(lhs, integrate(space, a * b), routes, space=space, a=a, b=b)
         for l in (1, 2):
             for _ in range(10):
                 a, b = random_poly(power_ring(space, l)), random_poly(power_ring(space, l))
                 routes = "integrate_product vs integral of the product"
                 lhs = integrate_product(space, a, b)
-                _check_equal(lhs, integrate(space, a * b), routes, space=space, l=l, a=a, b=b)
+                confirm(lhs, integrate(space, a * b), routes, space=space, l=l, a=a, b=b)
     # fibre-integral sign lock on an assorted bundle matrix
     for space in (P1, P2):
         for E in (_bundle(space, (1,), (0,)), _bundle(space, (2,), (-1,), (0,))):
@@ -364,7 +343,7 @@ def crit_engine_invariants() -> str:
             for k in range(space.dimension + 1):
                 lhs = bundle_power_pushforward(X, zeta(X) ** (r - 1 + k))
                 routes = "pushforward of z^(r - 1 + k) vs (-1)^k s_k"
-                _check_equal(lhs, Fraction(-1) ** k * segre_class(E, k), routes, space=X, k=k)
+                confirm(lhs, Fraction(-1) ** k * segre_class(E, k), routes, space=X, k=k)
     return "axioms, inverses, projection formula, Euler numbers, pairing, sign lock"
 
 

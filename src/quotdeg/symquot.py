@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
 
-from .errors import CrossCheckError, DomainError
+from .errors import CrossCheckError, DomainError, confirm
 from .exactpoly import (
     DegreePolynomial,
     TruncPoly,
@@ -137,9 +137,8 @@ def leading_term(S: SpaceDescriptor, E: SplitBundle, Lc1: TruncPoly, l: int) -> 
         * sd**l
     )
     via_nu = integrate_sym(S, nu_class(S, EL, l, l * d))
-    if closed != via_nu:
-        raise CrossCheckError(f"leading term mismatch: closed {closed}, multinomial {via_nu}")
-    return closed
+    routes = "leading term mismatch: closed form vs multinomial class"
+    return confirm(closed, via_nu, routes, space=S, bundle=E, twist=Lc1, l=l)
 
 
 def nu_twist_check(S: SpaceDescriptor, E: SplitBundle, Lc1: TruncPoly, l: int, k: int) -> SymClassRep:
@@ -157,8 +156,8 @@ def nu_twist_check(S: SpaceDescriptor, E: SplitBundle, Lc1: TruncPoly, l: int, k
             expected
             + binomial(l * (r - 1) + k, k - j) * box ** (k - j) * nu_class(S, E, l, j).rep
         )
-    if twisted.rep != expected:
-        raise CrossCheckError("twisting identity failed for nu classes")
+    routes = "twisting identity failed for nu classes: nu of twisted E vs twisting sum"
+    confirm(twisted.rep, expected, routes, space=S, bundle=E, twist=Lc1, l=l, k=k)
     return twisted
 
 

@@ -86,6 +86,29 @@ def test_failed_criterion_names_the_instance_and_both_values(monkeypatch):
     assert criterion["detail"] == "CrossCheckError: schubert_degree vs syt_count at l=1, r=2: 2 != 1"
 
 
+def test_confirm_returns_the_value_or_names_both_routes():
+    from fractions import Fraction
+
+    from quotdeg.errors import CrossCheckError, confirm
+    from quotdeg.exactpoly import DegreePolynomial
+
+    assert confirm(Fraction(3), 3, "a vs b", n=1) == Fraction(3)
+    poly = DegreePolynomial((1, Fraction(1, 2)))
+    with pytest.raises(CrossCheckError) as caught:
+        confirm(poly, [1, 2], "a vs b", p=poly)
+    assert str(caught.value) == "a vs b at p=[1, 1/2]: [1, 1/2] != [1, 2]"
+    assert caught.value.values == (poly, [1, 2])
+    with pytest.raises(CrossCheckError) as caught:
+        confirm((1, 2), (1, 3), "a vs b")  # no instance, no " at "
+    assert str(caught.value) == "a vs b: [1, 2] != [1, 3]"
+    assert caught.value.to_json() == {
+        "routes": "a vs b",
+        "values": ["[1, 2]", "[1, 3]"],
+        "instance": {},
+    }
+    assert CrossCheckError("a property failed").to_json() == {}
+
+
 def test_package_has_no_assert_statement():
     """python -O deletes assert statements, so no check in the package is one."""
     found = [

@@ -267,6 +267,35 @@ def test_cross_check_failure_exits_3(capsys, monkeypatch):
     assert json.loads(out)["error"] == "forced"
 
 
+def test_a_disagreeing_pipeline_exits_3_naming_the_routes_and_both_values(
+    capsys, monkeypatch, tmp_path
+):
+    from quotdeg import quot2
+
+    geometric = quot2.degree2_geometric
+    monkeypatch.setattr(quot2, "degree2_geometric", lambda inst: geometric(inst) + 1)
+    path = tmp_path / "p1p2.json"
+    path.write_text(
+        json.dumps(
+            {
+                "base": {"type": "projective_product", "dims": [1, 2]},
+                "bundle": {"roots": [[1, 2], [2, 1], [0, 1]]},
+                "twist": [1, 1],
+            }
+        )
+    )
+    code, out = run(capsys, ["degree2", "--n", "2", "--input", str(path)])
+    assert code == 3
+    report = json.loads(out)
+    assert list(report) == ["error", "routes", "values", "instance"]
+    assert report["routes"] == "degree pipelines disagree: formula vs geometric"
+    assert report["values"] == ["125434236", "125434237"]
+    assert list(report["instance"]) == ["space", "bundle", "twist"]
+    assert report["instance"]["space"] == "ProjProduct(dims=(1, 2))"
+    assert report["error"].startswith(report["routes"] + " at space=ProjProduct(dims=(1, 2)), ")
+    assert report["error"].endswith(": 125434236 != 125434237")
+
+
 def test_leading_l_from_file(capsys, tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(

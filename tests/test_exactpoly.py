@@ -479,3 +479,21 @@ def test_block_split_rejects_a_ring_whose_blocks_differ_from_the_factor():
         with pytest.raises(DomainError):
             block_split([TruncPoly.one(power_ring(P1, 2)), TruncPoly.one(ring)], factor)
     assert block_split([], univariate(3)) == ((), ())
+
+
+def test_generator_matches_the_constructor_on_the_instance_matrix():
+    # generator builds its normal form directly; the tuple constructor
+    # multiplies a related generator of truncation 1 out through the kernel
+    from quotdeg.selftest import instance_matrix
+
+    spaces = {space for space, _ in instance_matrix()}
+    spaces |= {ProjBundle(space, E) for space, E in instance_matrix()}
+    rings = [power_ring(space, l) for space in spaces for l in (1, 2)]
+    assert any(1 in ring.truncations for ring in rings)  # z of a rank-1 P(E)
+    # a plain generator of truncation 1 is zero
+    rings.append(RingDescriptor(("a", "b"), (1, 3), ((0, 1),)))
+    for ring in rings:
+        for i in range(ring.ngens):
+            unit = tuple(int(j == i) for j in range(ring.ngens))
+            assert TruncPoly.generator(ring, i) == TruncPoly(ring, [(unit, 1)]), (ring.names, i)
+    assert TruncPoly.generator(rings[-1], 0).is_zero()

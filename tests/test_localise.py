@@ -13,7 +13,7 @@ import pytest
 
 from quotdeg import localise
 from quotdeg.errors import CrossCheckError, DomainError
-from quotdeg.exactpoly import binomial, compositions, poly_interpolate
+from quotdeg.exactpoly import DegreePolynomial, binomial, compositions, poly_interpolate
 from quotdeg.localise import (
     NonGenericWeightsError,
     WeightAssignment,
@@ -570,3 +570,41 @@ def test_consistent_convention_errors_fail_the_quot2_lock(old, new):
     roots = (1, 0)
     E = SplitBundle(tuple(c * h for c in roots))
     assert mutant.degree_polynomial_localised(2, roots, 2) != degree2_polynomial(P1, E)
+
+
+def test_draw_consensus_names_the_draws_and_both_values(monkeypatch):
+    # with one twist the side-table sums run in draw order; draw 1 is off by one
+    real = localise._table_sum
+    calls = []
+
+    def table_sum(*args):
+        calls.append(None)
+        return real(*args) + (len(calls) == 2)
+
+    want = plucker_degree_localised(2, (1, 0), 3, 2)
+    monkeypatch.setattr(localise, "_table_sum", table_sum)
+    with pytest.raises(CrossCheckError) as caught:
+        plucker_degree_localised(2, (1, 0), 3, 2)
+    error = caught.value
+    assert error.routes == "weight draws disagree: draw 0 vs draw i"
+    assert error.values == (want, want + 1)
+    assert error.instance == {"n": 2, "i": 1}
+
+
+def test_localised_verification_point_names_both_values(monkeypatch):
+    real = localise.poly_interpolate
+
+    def shifted(points):
+        c0, *rest = real(points).coefficients
+        return DegreePolynomial((c0 + 1, *rest))
+
+    want = plucker_degree_localised(2, (1, 0), 3, 4)
+    monkeypatch.setattr(localise, "poly_interpolate", shifted)
+    with pytest.raises(CrossCheckError) as caught:
+        degree_polynomial_localised(2, (1, 0), 3)
+    error = caught.value
+    assert error.routes == (
+        "localised degree polynomial fails at the verification point: interpolant vs sum"
+    )
+    assert error.values == (want + 1, want)
+    assert error.instance["n"] == 4

@@ -6,7 +6,7 @@ import pytest
 from quotdeg import quot2
 from quotdeg.cli import main
 from quotdeg.errors import CrossCheckError, DomainError
-from quotdeg.exactpoly import TruncPoly, binomial
+from quotdeg.exactpoly import DegreePolynomial, TruncPoly, binomial
 from quotdeg.jacobi import a_coeff
 from quotdeg.quot2 import (
     Quot2Instance,
@@ -515,3 +515,38 @@ def test_projbundle_sweep_builds_one_bundle_ring(capsys):
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 31
     assert power_ring.cache_info().currsize - before <= 2
+
+
+def test_degree2_polynomial_verification_point_names_both_values(monkeypatch):
+    # the interpolant is off by one everywhere, so it misses the formula at n = 2d + 1
+    real = quot2.poly_interpolate
+
+    def shifted(points):
+        c0, *rest = real(points).coefficients
+        return DegreePolynomial((c0 + 1, *rest))
+
+    monkeypatch.setattr(quot2, "poly_interpolate", shifted)
+    E = bundle(P1, (0,), (0,))
+    want = degree2_formula(inst(P1, E, 3))
+    with pytest.raises(CrossCheckError) as caught:
+        degree2_polynomial(P1, E)
+    error = caught.value
+    assert error.routes == "degree polynomial fails at the verification point: interpolant vs formula"
+    assert error.values == (want + 1, want)
+    assert error.instance["n"] == 3
+
+
+def test_projbundle_i0_check_names_both_values(monkeypatch):
+    # only the top Segre integral reads quot2.integrate; the I_m checks pass
+    monkeypatch.setattr(quot2, "integrate", lambda space, a: integrate(space, a) + 1)
+    for space, E in [(P1, bundle(P1, (0,), (0,))), (P2, bundle(P2, (1,), (0,)))]:
+        instance = inst(space, E, 2)
+        segre_EL = segre_total(twist(E, instance.Lc1))
+        closed0 = quot2._fibre_integrals_closed(instance, segre_EL)[0]
+        with pytest.raises(CrossCheckError) as caught:
+            degree2_projbundle(instance)
+        error = caught.value
+        assert error.routes == (
+            "I_0 does not reduce to the top Segre integral: closed I_0 vs (-1)^d int s_d"
+        )
+        assert error.values == (closed0, closed0 + (-1) ** space.dimension)

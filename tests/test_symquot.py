@@ -28,6 +28,7 @@ from quotdeg.varieties import (
     integrate,
     power_ring,
     ring_of,
+    twist,
 )
 
 P1 = ProjProduct((1,))
@@ -381,3 +382,34 @@ def test_nu_class_matches_kernel_products_of_block_embeddings():
         for l in (2, 3):
             for k in range(l * S.dimension + 1):
                 assert nu_class(S, E, l, k).rep == reference_nu(S, E, l, k)
+
+
+def test_leading_term_check_names_both_values(monkeypatch):
+    from quotdeg import symquot
+
+    E, L = bundle(P2, (1,), (0,)), hyperplane(P2, 0)
+    closed = leading_term(P2, E, L, 2)
+    monkeypatch.setattr(symquot, "integrate_sym", lambda S, rep: integrate_sym(S, rep) + 1)
+    with pytest.raises(CrossCheckError) as caught:
+        leading_term(P2, E, L, 2)
+    error = caught.value
+    assert error.routes == "leading term mismatch: closed form vs multinomial class"
+    assert error.values == (closed, closed + 1)
+    assert error.instance["l"] == 2
+
+
+def test_nu_twist_check_names_both_classes(monkeypatch):
+    from quotdeg import symquot
+
+    # a doubled box sum corrupts only the twisting sum
+    monkeypatch.setattr(symquot, "boxsum", lambda S, l, D: 2 * boxsum(S, l, D))
+    E, L = bundle(P2, (1,), (0,)), hyperplane(P2, 0)
+    with pytest.raises(CrossCheckError) as caught:
+        nu_twist_check(P2, E, L, 2, 1)
+    error = caught.value
+    assert error.routes == (
+        "twisting identity failed for nu classes: nu of twisted E vs twisting sum"
+    )
+    got, want = error.values
+    assert got == nu_class(P2, twist(E, L), 2, 1).rep != want
+    assert (error.instance["l"], error.instance["k"]) == (2, 1)
