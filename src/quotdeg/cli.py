@@ -352,9 +352,13 @@ def _cmd_multint(args) -> int:
 
 
 def _cmd_grassmann(args) -> int:
-    out = {"degree": str(schubert_degree(args.l, args.r))}
+    degree = schubert_degree(args.l, args.r)
+    out = {"degree": str(degree)}
     if args.oracle:
-        out["oracle"] = str(syt_count(args.l, args.r - args.l))
+        count = syt_count(args.l, args.r - args.l)
+        routes = "Grassmannian degree routes disagree: product formula vs tableau count"
+        confirm(degree, count, routes, l=args.l, r=args.r)
+        out["oracle"] = str(count)
     _emit(out)
     return 0
 
