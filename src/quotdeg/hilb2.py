@@ -5,7 +5,10 @@ run on the blow-up of X x X along the diagonal, which double-covers X^[2]:
 powers of the tautological divisor push down to X x X as explicit diagonal
 classes, and every X^[2]-integral is half of the corresponding blow-up
 integral.  The degree evaluator also carries a closed form in the Segre
-classes of X and cross-checks it against the blow-up route on every call.
+classes of X and cross-checks it against the blow-up route on every call:
+`closed_form` of the fibre integrals I_m = int_X M^{D-m} s_m(X)
+(`fibre_integrals`).  `quot2`'s projective-bundle pipeline checks its own
+closed I_m against `fibre_integrals` and takes `closed_form` of them.
 
 The box powers (M boxplus M)^i on X x X are never built by products in the
 square ring.  The two blocks commute, so
@@ -51,7 +54,6 @@ from .exactpoly import (
 from .varieties import (
     SpaceDescriptor,
     diagonal_pushforward,
-    integrate,
     integrate_product,
     power_ring,
     ring_of,
@@ -61,7 +63,10 @@ from .varieties import (
 __all__ = [
     "blowup_power_pushforward",
     "pair_power_pushforward_table",
+    "fibre_integrals",
+    "closed_form",
     "hilb2_degree",
+    "degree_from_integrals",
 ]
 
 
@@ -150,7 +155,7 @@ def _exceptional_split(space: SpaceDescriptor) -> tuple[tuple[int, ...], BlockSp
 
 
 def _closed_powers(divisor: TruncPoly, top: int) -> list[TruncPoly]:
-    """The powers M^i for i = 0..top that the closed route integrates; the
+    """The powers M^i for i = 0..top that `fibre_integrals` integrates; the
     blow-up route of `hilb2_degree` takes its own."""
     powers = [TruncPoly.one(divisor.ring)]
     for _ in range(top):
@@ -158,35 +163,53 @@ def _closed_powers(divisor: TruncPoly, top: int) -> list[TruncPoly]:
     return powers
 
 
+def fibre_integrals(space: SpaceDescriptor, divisor: TruncPoly) -> list[Fraction]:
+    """I_m = int_X M^{D-m} s_m(X) for m = 0..D, D = dim X and M = `divisor`,
+    from one running set of powers of M (`_closed_powers`)."""
+    d = space.dimension
+    _check_request(space, divisor, d)
+    powers = _closed_powers(divisor, d)
+    segre = segre_scheme(space)
+    return [integrate_product(space, powers[d - m], segre.graded_part(m)) for m in range(d + 1)]
+
+
+def closed_form(dimension: int, integrals: list[Fraction]) -> Fraction:
+    """(1/2) binom(2D, D) I_0^2 - 2^{D-1} sum_m binom(2D, D+m) 2^{-m} I_m,
+    D = `dimension`, from the fibre integrals I_m, m = 0..D; with
+    I_m = a_m / b over one denominator that is
+    (binom(2D, D) 2^D a_0^2 - b sum_m binom(2D, D+m) 2^{2D-m} a_m) / (2^{D+1} b^2)."""
+    D = dimension
+    den = lcm(*(x.denominator for x in integrals))
+    a = [x.numerator * (den // x.denominator) for x in integrals]
+    series = sum(comb(2 * D, D + m) * 2 ** (2 * D - m) * a[m] for m in range(D + 1))
+    return Fraction(comb(2 * D, D) * 2**D * a[0] ** 2 - den * series, 2 ** (D + 1) * den**2)
+
+
 def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
     """Top self-intersection number on X^[2] of the tautological divisor
     attached to a line bundle with first Chern class `divisor`.
 
-    Two routes are evaluated and must agree exactly:
+    Two routes are evaluated and must agree exactly (`degree_from_integrals`):
     (a) the closed form
         (1/2) binom(2d, d) (int M^d)^2
         - 2^{d-1} sum_m binom(2d, d+m) 2^{-m} int M^{d-m} s_m(X),
+        `closed_form` of the direct `fibre_integrals`,
     (b) half the X x X integral of the pair pushforward in power 2d,
         (1/2) sum_m binom(2d, m) int (M boxplus M)^{2d-m} * e_m, e_m the
         blow-up pushforward of the m-th exceptional power, from this
         route's own powers of M (`_blowup_route`).
     """
-    d = space.dimension
-    if d < 1:
+    if space.dimension < 1:
         raise DomainError("the space must be positive-dimensional")
-    _check_request(space, divisor, 2 * d)
-    powers = _closed_powers(divisor, d)
-    md = integrate(space, powers[d])
-    closed = Fraction(1, 2) * binomial(2 * d, d) * md**2
-    segre = segre_scheme(space)
-    correction = Fraction(0)
-    for m in range(d + 1):
-        correction += (
-            binomial(2 * d, d + m)
-            * Fraction(1, 2**m)
-            * integrate_product(space, powers[d - m], segre.graded_part(m))
-        )
-    closed -= Fraction(2) ** (d - 1) * correction
+    return degree_from_integrals(space, divisor, fibre_integrals(space, divisor))
+
+
+def degree_from_integrals(
+    space: SpaceDescriptor, divisor: TruncPoly, integrals: list[Fraction]
+) -> Fraction:
+    """`hilb2_degree` on `fibre_integrals(space, divisor)` already taken:
+    their `closed_form` vs the blow-up route, which reads none of them."""
+    closed = closed_form(space.dimension, integrals)
     routes = "hilb2 degree routes disagree: closed form vs blow-up route"
     return confirm(closed, _blowup_route(space, divisor), routes, space=space, divisor=divisor)
 
@@ -211,9 +234,12 @@ def _blowup_route(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
     own = [TruncPoly.one(divisor.ring)]  # this route's own powers of M
     for _ in range(d):
         own.append(own[-1] * divisor)
-    # int (M boxplus M)^d (M boxplus M)^d keeps the pairs with j + j' = d
+    # int (M boxplus M)^d (M boxplus M)^d keeps the pairs with j + j' = d,
+    # summed in integers over the pairings' one denominator q
     pairs = [top_pairing(own[j], own[d - j]) for j in range(d + 1)]
-    blowup = sum(binomial(d, j) ** 2 * pairs[j] * pairs[d - j] for j in range(d + 1))
+    q = lcm(*(x.denominator for x in pairs))
+    n = [x.numerator * (q // x.denominator) for x in pairs]
+    blowup = Fraction(sum(comb(d, j) ** 2 * n[j] * n[d - j] for j in range(d + 1)), q * q)
     ms, split = _exceptional_split(space)
     # phi(k) for each monomial x^k of the split, over one denominator
     pairings = [top_pairings(own[d - i], keys) for i, keys in enumerate(split.keys)]

@@ -4,17 +4,21 @@ pipelines, plus the class-level pushforward and diagonal-defect classes.
 Pipelines, which must agree exactly on every instance:
 
 * a closed formula in Segre classes of S and the twisted bundle, with
-  coefficients from the Jacobi-sum module; each unordered Segre pair
-  s_i s_j (i + j = d - k) is formed and integrated once and weighted by
-  a_j + a_i, read from a table per (r, d) in which every a-value is
-  evaluated once per process, so each is cross-checked;
-* the projective-bundle route: the two-point Hilbert scheme degree formula
-  evaluated through fibre integrals I_m over P(E twisted), each I_m computed
-  both from its closed form in Segre classes of the twisted bundle on S (one
-  integral per unordered Segre pair) and from its definition over P(E) with
-  O(1) twisted by L, which is P(E twisted); so one P(E) serves every twist;
+  coefficients from the Jacobi-sum module, on the Segre-pair table
+  P[k][j] = int s_k(S) s_{d-k-j}(EL) s_j(EL) (`_segre_pairs`), each pair
+  weighted by a_j + a_i, read from a table per (r, d) in which every
+  a-value is evaluated once per process, so each is cross-checked;
+* the projective-bundle route: `hilb2.closed_form` of the fibre integrals
+  I_m over P(E twisted), each I_m computed both from the same Segre-pair
+  table on S and from its definition over P(E) with O(1) twisted by L,
+  which is P(E twisted) (`hilb2.fibre_integrals`); so one P(E) serves
+  every twist;
 * the geometric route: the degree of the two-point Hilbert scheme of P(E)
-  for the divisor (pullback of c1 L) + z.
+  for the divisor (pullback of c1 L) + z, whose closed route reads the
+  same direct I_m and whose blow-up route shares nothing with the others.
+
+`degree2_all` computes the table and the direct I_m once; no compared pair
+of values shares either of them.
 
 The class-level computation pushes powers of the tautological divisor of
 the two-point Hilbert scheme of P(E) down to S x S; the double-cover factor
@@ -36,12 +40,17 @@ from .errors import CrossCheckError, DomainError, confirm
 from .exactpoly import (
     DegreePolynomial,
     TruncPoly,
-    binomial,
     block_split,
     poly_interpolate,
     top_pairings,
 )
-from .hilb2 import hilb2_degree, pair_power_pushforward_table
+from .hilb2 import (
+    closed_form,
+    degree_from_integrals,
+    fibre_integrals,
+    hilb2_degree,
+    pair_power_pushforward_table,
+)
 from .jacobi import a_coeff
 from .symquot import (
     MembershipCertificate,
@@ -108,36 +117,64 @@ class Quot2Instance:
         return self.E.rank - 1 + self.d
 
 
+# `_segre_pairs`: numerators P[k][j], their denominator, and int s_d(EL)
+SegrePairs = tuple[list[list[int]], int, Fraction]
+
+
 def degree2_formula(inst: Quot2Instance) -> Fraction:
     """Closed formula pipeline.
 
     (1/2) binom(2p, p) (int s_d(EL))^2
     - 2^{p-1} sum_k int s_k(S) * sum_j a_j(r,d,k) s_{d-k-j}(EL) s_j(EL),
-    where EL is the twisted bundle.  Each unordered pair s_i s_j with
-    i + j = d - k is formed and integrated once and weighted by a_j + a_i
-    (by a_j alone when i = j); the weights come from a table per (r, d),
-    built once per process, in which every a-value is evaluated.
+    where EL is the twisted bundle.
     """
-    S, d, p, r = inst.S, inst.d, inst.p, inst.E.rank
-    EL = twist(inst.E, inst.Lc1)
-    segre_EL = segre_total(EL)
-    sd = integrate(S, segre_EL.graded_part(d))
-    total = Fraction(1, 2) * binomial(2 * p, p) * sd**2
+    return _formula(inst, _segre_pairs(inst))
+
+
+def _segre_pairs(inst: Quot2Instance) -> SegrePairs:
+    """The pair integrals P[k][j] = int s_k(S) s_{d-k-j}(EL) s_j(EL) of the
+    twisted bundle EL = `twist`(E, L) as integer numerators over one
+    denominator, and int s_d(EL) by `integrate`.  P[k][j] = P[k][d-k-j], so
+    each unordered pair is formed and integrated once."""
+    S, d = inst.S, inst.d
+    segre_EL = segre_total(twist(inst.E, inst.Lc1))
     segre_S = segre_scheme(S)
-    weights = _pair_weights(r, d)
-    correction = Fraction(0)
+    P = []
     for k in range(d + 1):
         s_k = segre_S.graded_part(k)
-        for j, weight in enumerate(weights[k]):
+        row = [0] * (d - k + 1)
+        for j in range((d - k) // 2 + 1):
             i = d - k - j
             pair = segre_EL.graded_part(i) * segre_EL.graded_part(j)
-            correction += weight * integrate_product(S, s_k, pair)
-    return total - Fraction(2) ** (p - 1) * correction
+            row[j] = row[i] = integrate_product(S, s_k, pair)
+        P.append(row)
+    den = lcm(*(x.denominator for row in P for x in row))
+    P = [[x.numerator * (den // x.denominator) for x in row] for row in P]
+    return P, den, integrate(S, segre_EL.graded_part(d))
+
+
+def _formula(inst: Quot2Instance, pairs: SegrePairs) -> Fraction:
+    """The formula on the Segre-pair table, each unordered pair weighted by
+    `_pair_weights`, in integers over the weights' denominator w: with
+    int s_d(EL) = a / b it is
+    (binom(2p, p) a^2 w den - 2^p correction b^2) / (2 w den b^2)."""
+    P, den, sd = pairs
+    p = inst.p
+    weights = _pair_weights(inst.E.rank, inst.d)
+    w = lcm(*(x.denominator for row in weights for x in row))
+    correction = sum(
+        x.numerator * (w // x.denominator) * P[k][j]
+        for k, row in enumerate(weights)
+        for j, x in enumerate(row)
+    )
+    a, b = sd.numerator, sd.denominator
+    num = comb(2 * p, p) * a * a * w * den - 2**p * correction * b * b
+    return Fraction(num, 2 * w * den * b * b)
 
 
 @lru_cache(maxsize=None)
 def _pair_weights(r: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The weights of `degree2_formula`: for each k, and each j <= i with
+    """The weights of `_formula`: for each k, and each j <= i with
     i = d - k - j, a_j(r, d, k) + a_i(r, d, k), or a_j alone when i = j.
     Every a-value is evaluated once, by `a_coeff`, which compares its two
     routes on each call."""
@@ -154,28 +191,14 @@ def _pair_weights(r: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(table)
 
 
-def _fibre_integrals_closed(inst: Quot2Instance, segre_EL: TruncPoly) -> list[Fraction]:
-    """I_m for m = 0..p from the closed double sum in Segre classes: an integer
-    combination of the pair integrals P[k][j] = int s_k(S) s_{d-k-j}(EL) s_j(EL)
-    for k <= m, where segre_EL is the total Segre class of the twisted bundle
-    EL.  P[k][j] = P[k][d-k-j], so each unordered pair is formed and
-    integrated once.  The terms with k > m vanish, since each has a negative
-    lower binomial index m - d + j <= m - k."""
-    S, d, r = inst.S, inst.d, inst.E.rank
-    segre_S = segre_scheme(S)
-    P = []
-    for k in range(d + 1):
-        s_k = segre_S.graded_part(k)
-        row = [Fraction(0)] * (d - k + 1)
-        for j in range((d - k) // 2 + 1):
-            i = d - k - j
-            pair = segre_EL.graded_part(i) * segre_EL.graded_part(j)
-            row[j] = row[i] = integrate_product(S, s_k, pair)
-        P.append(row)
-    den = lcm(*(x.denominator for row in P for x in row))
-    P = [[x.numerator * (den // x.denominator) for x in row] for row in P]
+def _fibre_integrals_closed(inst: Quot2Instance, pairs: SegrePairs) -> list[Fraction]:
+    """I_m for m = 0..p from the closed double sum in Segre classes: an
+    integer combination of the pair integrals P[k][j] for k <= m.  The
+    terms with k > m vanish, since each has a negative lower binomial index
+    m - d + j <= m - k."""
+    P, den, _ = pairs
     out = []
-    for row in _fibre_weights(r, d):
+    for row in _fibre_weights(inst.E.rank, inst.d):
         value = 0
         it = iter(row)
         for k, j, weight in zip(it, it, it):
@@ -200,52 +223,57 @@ def _fibre_weights(r: int, d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def degree2_projbundle(inst: Quot2Instance) -> Fraction:
-    """Projective-bundle pipeline through the fibre integrals I_m.
+def _bundle_divisor(inst: Quot2Instance) -> tuple[ProjBundle, TruncPoly]:
+    """X = P(E), one for every twist, and M = (pullback of c1 L) + z on it,
+    the relative hyperplane class of P(E twisted)."""
+    X = ProjBundle(inst.S, inst.E)
+    return X, pullback_to_bundle(X, inst.Lc1) + zeta(X)
 
-    Each I_m is also recomputed from its definition as an integral over
-    P(E twisted), taken as P(E) with O(1) twisted by L: the integrand is
-    M^{p-m} s_m(P(E)) with M = (pullback of c1 L) + z, and M^0..M^p come
-    from one running product.  The closed side twists on S and the direct
+
+def degree2_projbundle(inst: Quot2Instance) -> Fraction:
+    """Projective-bundle pipeline: `closed_form` of the closed I_m.
+
+    Each closed I_m is checked against its definition as an integral over
+    P(E twisted), taken as P(E) with O(1) twisted by L: the direct
+    `fibre_integrals` of M = (pullback of c1 L) + z, which route (a) of
+    `hilb2_degree` also reads.  The closed side twists on S and the direct
     side pulls L back, so a wrong twist shows as a mismatch, which aborts
     the run.
     """
-    S, d, p = inst.S, inst.d, inst.p
-    segre_EL = segre_total(twist(inst.E, inst.Lc1))
-    closed = _fibre_integrals_closed(inst, segre_EL)
-    X = ProjBundle(S, inst.E)
-    M = pullback_to_bundle(X, inst.Lc1) + zeta(X)
-    M_powers = [TruncPoly.one(M.ring), M]
-    for _ in range(p - 1):
-        M_powers.append(M_powers[-1] * M)
-    segre_X = segre_scheme(X)
-    where = {"space": S, "bundle": inst.E, "twist": inst.Lc1}
-    for m in range(p + 1):
-        direct = integrate_product(X, M_powers[p - m], segre_X.graded_part(m))
-        confirm(closed[m], direct, f"fibre integral I_{m} mismatch: closed vs direct", **where)
-    sd = integrate(S, segre_EL.graded_part(d))
+    X, M = _bundle_divisor(inst)
+    return _projbundle(inst, _segre_pairs(inst), fibre_integrals(X, M))
+
+
+def _projbundle(inst: Quot2Instance, pairs: SegrePairs, direct: list[Fraction]) -> Fraction:
+    """Check closed vs direct I_m for m = 0..p, then closed I_0 vs
+    (-1)^d int s_d(EL), and take `closed_form` of the closed I_m."""
+    closed = _fibre_integrals_closed(inst, pairs)
+    where = {"space": inst.S, "bundle": inst.E, "twist": inst.Lc1}
+    for m in range(inst.p + 1):
+        confirm(closed[m], direct[m], f"fibre integral I_{m} mismatch: closed vs direct", **where)
     routes = "I_0 does not reduce to the top Segre integral: closed I_0 vs (-1)^d int s_d"
-    confirm(closed[0], Fraction(-1) ** d * sd, routes, **where)
-    total = Fraction(1, 2) * binomial(2 * p, p) * closed[0] ** 2
-    series = sum(
-        binomial(2 * p, p + m) * Fraction(1, 2**m) * closed[m] for m in range(p + 1)
-    )
-    return total - Fraction(2) ** (p - 1) * series
+    confirm(closed[0], (-1) ** inst.d * pairs[2], routes, **where)
+    return closed_form(inst.p, closed)
 
 
 def degree2_geometric(inst: Quot2Instance) -> Fraction:
     """Geometric pipeline: two-point Hilbert scheme of P(E) with the divisor
     (pullback of the twist) + relative hyperplane class."""
-    X = ProjBundle(inst.S, inst.E)
-    M = pullback_to_bundle(X, inst.Lc1) + zeta(X)
-    return hilb2_degree(X, M)
+    return hilb2_degree(*_bundle_divisor(inst))
 
 
 def degree2_all(inst: Quot2Instance) -> Fraction:
-    """Run all three pipelines and insist on exact agreement."""
-    formula = degree2_formula(inst)
-    projbundle = degree2_projbundle(inst)
-    geometric = degree2_geometric(inst)
+    """Run all three pipelines on one Segre-pair table and one set of direct
+    I_m, and insist on exact agreement.  The checks fire in this order:
+    closed vs direct I_m for m = 0..p, I_0 vs the top Segre integral,
+    closed form vs blow-up route (`degree_from_integrals`), formula vs
+    projective bundle, formula vs geometric."""
+    pairs = _segre_pairs(inst)
+    formula = _formula(inst, pairs)
+    X, M = _bundle_divisor(inst)
+    direct = fibre_integrals(X, M)
+    projbundle = _projbundle(inst, pairs, direct)
+    geometric = degree_from_integrals(X, M, direct)
     where = {"space": inst.S, "bundle": inst.E, "twist": inst.Lc1}
     confirm(formula, projbundle, "degree pipelines disagree: formula vs projective bundle", **where)
     return confirm(formula, geometric, "degree pipelines disagree: formula vs geometric", **where)

@@ -153,8 +153,11 @@ def test_a_disagreeing_pipeline_exits_3_naming_the_routes_and_both_values(
 ):
     from quotdeg import quot2
 
-    geometric = quot2.degree2_geometric
-    monkeypatch.setattr(quot2, "degree2_geometric", lambda inst: geometric(inst) + 1)
+    # degree2_all takes the geometric value from degree_from_integrals
+    geometric = quot2.degree_from_integrals
+    monkeypatch.setattr(
+        quot2, "degree_from_integrals", lambda X, M, integrals: geometric(X, M, integrals) + 1
+    )
     path = tmp_path / "p1p2.json"
     path.write_text(
         json.dumps(

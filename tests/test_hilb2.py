@@ -368,3 +368,31 @@ def test_exceptional_split_holds_each_exceptional_term_once():
         rows = sum(len(r) for _, r in groups)
         assert rows == 3 * len(blowup_power_pushforward(X, m).terms)
         assert [i for i, _ in groups] == sorted(i for i, _ in groups)
+
+
+def test_closed_form_in_integers_matches_the_rational_expression():
+    # the closed form summed in integers over one denominator against the
+    # formula term by term in Fractions, on integral and rational I_m
+    from fractions import Fraction
+
+    from quotdeg.hilb2 import closed_form
+
+    rng = random.Random(38)
+    for D in range(1, 8):
+        for _ in range(20):
+            I = [
+                Fraction(rng.randrange(-50, 51), rng.choice((1, 1, 2, 3, 7, 12)))
+                for _ in range(D + 1)
+            ]
+            series = sum(binomial(2 * D, D + m) * Fraction(1, 2**m) * I[m] for m in range(D + 1))
+            want = Fraction(1, 2) * binomial(2 * D, D) * I[0] ** 2 - 2 ** (D - 1) * series
+            assert closed_form(D, I) == want, (D, I)
+
+
+def test_fibre_integrals_reject_a_divisor_off_the_space():
+    from quotdeg.hilb2 import fibre_integrals
+
+    with pytest.raises(DomainError, match="divisor must live on the space"):
+        fibre_integrals(P2, hyperplane(P1, 0))
+    with pytest.raises(DomainError, match="homogeneous of degree 1"):
+        fibre_integrals(P2, hyperplane(P2, 0) ** 2)

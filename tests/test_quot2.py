@@ -326,7 +326,7 @@ def test_fibre_integrals_frozen_values():
     E = bundle(P1, (0,), (0,))
     for n in (1, 2, 3):
         instance = inst(P1, E, n)
-        closed = _fibre_integrals_closed(instance, segre_total(twist(E, instance.Lc1)))
+        closed = _fibre_integrals_closed(instance, quot2._segre_pairs(instance))
         assert closed == [2 * n, -2 * n - 2, 4]
 
 
@@ -395,7 +395,7 @@ def test_closed_routes_match_their_class_sum_form():
         cases.append((space, bundle(space, *roots), 2 * divisor_all_ones(space)))
     for space, E, L in cases:
         instance = Quot2Instance(space, E, L)
-        closed = quot2._fibre_integrals_closed(instance, segre_total(twist(E, L)))
+        closed = quot2._fibre_integrals_closed(instance, quot2._segre_pairs(instance))
         assert closed == reference_fibre_integrals(instance)
         assert degree2_formula(instance) == reference_formula(instance)
 
@@ -439,8 +439,8 @@ def test_pair_weights_match_fresh_a_values():
 def test_projbundle_direct_check_fires_on_corrupted_closed_integrals(monkeypatch):
     original = quot2._fibre_integrals_closed
 
-    def corrupted(instance, segre_EL):
-        values = original(instance, segre_EL)
+    def corrupted(instance, pairs):
+        values = original(instance, pairs)
         values[1] += 1
         return values
 
@@ -541,8 +541,7 @@ def test_projbundle_i0_check_names_both_values(monkeypatch):
     monkeypatch.setattr(quot2, "integrate", lambda space, a: integrate(space, a) + 1)
     for space, E in [(P1, bundle(P1, (0,), (0,))), (P2, bundle(P2, (1,), (0,)))]:
         instance = inst(space, E, 2)
-        segre_EL = segre_total(twist(E, instance.Lc1))
-        closed0 = quot2._fibre_integrals_closed(instance, segre_EL)[0]
+        closed0 = quot2._fibre_integrals_closed(instance, quot2._segre_pairs(instance))[0]
         with pytest.raises(CrossCheckError) as caught:
             degree2_projbundle(instance)
         error = caught.value
@@ -550,3 +549,117 @@ def test_projbundle_i0_check_names_both_values(monkeypatch):
             "I_0 does not reduce to the top Segre integral: closed I_0 vs (-1)^d int s_d"
         )
         assert error.values == (closed0, closed0 + (-1) ** space.dimension)
+
+
+# the bases and bundles on which degree2_all must compute each shared piece once
+SHARED_PIECE_CASES = [
+    (P1, ((1,), (2,))),
+    (P2, ((1,), (2,))),
+    (ProjProduct((1, 2)), ((1, 2), (2, 1), (0, 1))),
+    (ProjProduct((2, 2)), ((0, 0), (1, 0), (0, 1))),
+]
+
+
+@pytest.mark.parametrize(
+    "space,vectors", SHARED_PIECE_CASES, ids=["P1-r2", "P2-r2", "P1xP2-r3", "P2xP2-r3"]
+)
+def test_degree2_all_computes_each_shared_piece_once(monkeypatch, space, vectors):
+    from collections import Counter
+
+    from quotdeg import hilb2
+
+    instance = inst(space, bundle(space, *vectors), 2)
+    want = degree2_all(instance)  # fills the caches keyed on untwisted data
+    calls = Counter()
+
+    def count(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(quot2, "_segre_pairs", "quot2._segre_pairs")
+    count(quot2, "twist", "quot2.twist")
+    count(quot2, "fibre_integrals", "quot2.fibre_integrals")
+    count(hilb2, "fibre_integrals", "hilb2.fibre_integrals")
+    count(hilb2, "_closed_powers", "hilb2._closed_powers")
+    count(TruncPoly, "__mul__", "TruncPoly.__mul__")
+    assert degree2_all(instance) == want
+    # one Segre-pair table from one twist, one set of direct fibre integrals
+    # from one running set of powers of M
+    assert calls["quot2._segre_pairs"] == calls["quot2.twist"] == 1
+    assert calls["quot2.fibre_integrals"] == calls["hilb2._closed_powers"] == 1
+    assert calls["hilb2.fibre_integrals"] == 0
+    shared = calls["TruncPoly.__mul__"]
+    calls.clear()
+    for pipeline in (degree2_formula, degree2_projbundle, degree2_geometric):
+        assert pipeline(instance) == want
+    # the three pipelines one at a time take two tables and two sets of integrals
+    assert calls["quot2._segre_pairs"] == 2
+    assert calls["quot2.fibre_integrals"] + calls["hilb2.fibre_integrals"] == 2
+    assert shared < calls["TruncPoly.__mul__"]
+
+
+def degree2_n_report(capsys):
+    """The exit-3 report of `degree2 --n 2` on P1xP2, rank 3."""
+    assert main(["degree2", "--input", P1xP2_RANK3, "--n", "2"]) == 3
+    return json.loads(capsys.readouterr().out)
+
+
+def test_each_corrupted_segre_pair_entry_fails_the_fibre_integral_check(capsys, monkeypatch):
+    # P[k][j] first enters I_m at m = max(k, d - j), with a nonzero weight
+    real = quot2._segre_pairs
+    d = 3
+    for k in range(d + 1):
+        for j in range(d - k + 1):
+
+            def corrupted(instance, k=k, j=j):
+                P, den, sd = real(instance)
+                P[k][j] += 1
+                return P, den, sd
+
+            monkeypatch.setattr(quot2, "_segre_pairs", corrupted)
+            report = degree2_n_report(capsys)
+            m = max(k, d - j)
+            assert report["routes"] == f"fibre integral I_{m} mismatch: closed vs direct", (k, j)
+
+
+def test_each_corrupted_direct_fibre_integral_fails_the_fibre_integral_check(
+    capsys, monkeypatch
+):
+    real = quot2.fibre_integrals
+    p = 5
+    for m in range(p + 1):
+
+        def corrupted(space, divisor, m=m):
+            values = real(space, divisor)
+            values[m] += 1
+            return values
+
+        monkeypatch.setattr(quot2, "fibre_integrals", corrupted)
+        report = degree2_n_report(capsys)
+        assert report["routes"] == f"fibre integral I_{m} mismatch: closed vs direct"
+        assert report["values"][1] == str(Fraction(report["values"][0]) + 1)
+
+
+def test_a_corrupted_shared_closed_form_fails_formula_vs_projective_bundle(capsys, monkeypatch):
+    # quot2's closed form is the projective-bundle pipeline's; the closed
+    # route of the two-point degree reads hilb2's, so its check still passes
+    real = quot2.closed_form
+    monkeypatch.setattr(quot2, "closed_form", lambda D, integrals: real(D, integrals) + 1)
+    report = degree2_n_report(capsys)
+    assert report["routes"] == "degree pipelines disagree: formula vs projective bundle"
+    assert report["values"] == ["125434236", "125434237"]
+
+
+def test_a_corrupted_blowup_route_fails_the_hilb2_routes(capsys, monkeypatch):
+    from quotdeg import hilb2
+
+    real = hilb2._blowup_route
+    monkeypatch.setattr(hilb2, "_blowup_route", lambda space, M: real(space, M) + 1)
+    report = degree2_n_report(capsys)
+    assert report["routes"] == "hilb2 degree routes disagree: closed form vs blow-up route"
+    assert report["values"] == ["125434236", "125434237"]
