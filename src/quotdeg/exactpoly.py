@@ -86,7 +86,9 @@ by total degree, with `int` numerators over one common denominator:
 
 `Fraction` and exponent tuples appear only where data enters or leaves: the
 `TruncPoly(ring, terms)` constructor, the `.terms` mapping (built on first
-use), `coefficient`, `to_dict` and `repr`.
+use), `coefficient`, `to_dict` and `repr`.  A class of degree 1 also enters
+and leaves as one coefficient per generator (`TruncPoly.linear`,
+`linear_coefficients`), with no exponent tuple.
 
 All values are immutable after construction and all operations are pure.
 Results never depend on term iteration order: coefficients are exact and
@@ -479,11 +481,35 @@ class TruncPoly:
     def generator(cls, ring: RingDescriptor, i: int) -> "TruncPoly":
         """The i-th generator in normal form, built without a product: of
         truncation 1 it is its relation's first rewrite row, or zero."""
-        layout = ring._layout
         if ring.truncations[i] > 1:
-            return cls._make(ring, 1, [{}, {1 << layout.shifts[i]: 1}])
-        rows = [table[0] for r, (*_, table) in zip(ring.relations, layout.rewrites) if r.gen == i]
-        return cls._make(ring, 1, [{}, dict(rows[0])] if rows else [])
+            return cls._make(ring, 1, [{}, {1 << ring._layout.shifts[i]: 1}])
+        row = _first_rewrite(ring, i)
+        return cls._make(ring, 1, [{}, dict(row)] if row else [])
+
+    @classmethod
+    def linear(cls, ring: RingDescriptor, coeffs: Sequence) -> "TruncPoly":
+        """The degree-1 class sum_i coeffs[i] g_i, coefficients ints or
+        Fractions, built in bucket 1 without the general constructor; a
+        generator of truncation 1 contributes its relation's first rewrite
+        row, as in `generator`, or nothing."""
+        den = lcm(*[c.denominator for c in coeffs])
+        shifts, truncations = ring._layout.shifts, ring.truncations
+        bucket: dict[int, int] = {}
+        rewritten = False
+        for i, c in enumerate(coeffs):
+            if not c:
+                continue
+            c = c.numerator * (den // c.denominator)
+            if truncations[i] > 1:
+                key = 1 << shifts[i]
+                bucket[key] = bucket.get(key, 0) + c
+                continue
+            rewritten = True
+            for m, rc in _first_rewrite(ring, i):
+                bucket[m] = bucket.get(m, 0) + c * rc
+        if rewritten:
+            bucket = {m: c for m, c in bucket.items() if c}
+        return cls._make(ring, den, [{}, bucket])
 
     # -- inspection ---------------------------------------------------
 
@@ -498,6 +524,13 @@ class TruncPoly:
         if not self._buckets:
             return Fraction(0)
         return Fraction(self._buckets[0].get(0, 0), self._den)
+
+    def linear_coefficients(self) -> tuple[tuple[int, ...], int]:
+        """The degree-1 part as one integer numerator per generator over the
+        class's denominator, read off bucket 1: the inverse of `linear` on a
+        class of degree 1."""
+        part = self._buckets[1] if len(self._buckets) > 1 else {}
+        return tuple(part.get(1 << s, 0) for s in self.ring._layout.shifts), self._den
 
     def coefficient(self, mono: Monomial) -> Fraction:
         mono = tuple(mono)
@@ -664,6 +697,13 @@ class TruncPoly:
 
     def to_dict(self) -> dict[str, str]:
         return {self.ring.monomial_str(m): str(c) for m, c in self.sorted_terms()}
+
+
+def _first_rewrite(ring: RingDescriptor, i: int) -> tuple:
+    """The normal form of g_i for a generator of truncation 1: its relation's
+    first rewrite row as (packed monomial, int coefficient) pairs, or ()."""
+    rows = [table[0] for r, (*_, table) in zip(ring.relations, ring._layout.rewrites) if r.gen == i]
+    return rows[0] if rows else ()
 
 
 def top_pairing(a: TruncPoly, b: TruncPoly) -> Fraction:

@@ -7,7 +7,11 @@ classes, and every X^[2]-integral is half of the corresponding blow-up
 integral.  The degree evaluator also carries a closed form in the Segre
 classes of X and cross-checks it against the blow-up route on every call:
 `closed_form` of the fibre integrals I_m = int_X M^{D-m} s_m(X)
-(`fibre_integrals`).  `quot2`'s projective-bundle pipeline checks its own
+(`fibre_integrals`).  Those are sums over the torus-fixed points of X by
+Bott's formula (`bott.localised_fibre_integrals`), which read the divisor
+and the bundle's roots as integer vectors and no class of the Chow-ring
+kernel, so the closed route shares no ring code with the blow-up route and
+checks it from outside.  `quot2`'s projective-bundle pipeline checks its own
 closed I_m against `fibre_integrals` and takes `closed_form` of them.
 
 The box powers (M boxplus M)^i on X x X are never built by products in the
@@ -23,15 +27,15 @@ one block, so int (alpha (x) beta) * c is read one block at a time on X (the
 Kuenneth property, as in the `exactpoly` module docstring), and in
 int (M boxplus M)^d (M boxplus M)^d only the pairs with j + j' = d have top
 degree in each block, each a product of two integrals on X.  The blow-up
-route computes its powers of M itself and shares none of them with the
-closed route.  The exceptional pushforwards vanish for 0 < m < dim X and are
-the unit class for m = 0, so each pushed power is its box power plus the
-products with the pushforwards e_m for m >= dim X.  The degree evaluator
-sums all of those in one integer pass: the e_m are split once per space
-into rows (k1, k2, numerator) over one table of the monomials of X, grouped
-by m and the degree of k1 (`exactpoly.block_split`); per call each monomial
-x^k of X is paired once with the complementary power of M, and each row
-contributes its numerator times the two pairings.
+route takes its powers of M in the kernel; the closed route's are columns
+at the fixed points.  The exceptional pushforwards vanish for 0 < m < dim X
+and are the unit class for m = 0, so each pushed power is its box power
+plus the products with the pushforwards e_m for m >= dim X.  The degree
+evaluator sums all of those in one integer pass: the e_m are split once per
+space into rows (k1, k2, numerator) over one table of the monomials of X,
+grouped by m and the degree of k1 (`exactpoly.block_split`); per call each
+monomial x^k of X is paired once with the complementary power of M, and each
+row contributes its numerator times the two pairings.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
+from .bott import localised_fibre_integrals
 from .errors import DomainError, confirm
 from .exactpoly import (
     BlockSplit,
@@ -52,9 +57,9 @@ from .exactpoly import (
     top_pairings,
 )
 from .varieties import (
+    ProjProduct,
     SpaceDescriptor,
     diagonal_pushforward,
-    integrate_product,
     power_ring,
     ring_of,
     segre_scheme,
@@ -154,23 +159,22 @@ def _exceptional_split(space: SpaceDescriptor) -> tuple[tuple[int, ...], BlockSp
     return tuple(exc), block_split(list(exc.values()), ring_of(space))
 
 
-def _closed_powers(divisor: TruncPoly, top: int) -> list[TruncPoly]:
-    """The powers M^i for i = 0..top that `fibre_integrals` integrates; the
-    blow-up route of `hilb2_degree` takes its own."""
-    powers = [TruncPoly.one(divisor.ring)]
-    for _ in range(top):
-        powers.append(powers[-1] * divisor)
-    return powers
-
-
 def fibre_integrals(space: SpaceDescriptor, divisor: TruncPoly) -> list[Fraction]:
     """I_m = int_X M^{D-m} s_m(X) for m = 0..D, D = dim X and M = `divisor`,
-    from one running set of powers of M (`_closed_powers`)."""
-    d = space.dimension
-    _check_request(space, divisor, d)
-    powers = _closed_powers(divisor, d)
-    segre = segre_scheme(space)
-    return [integrate_product(space, powers[d - m], segre.graded_part(m)) for m in range(d + 1)]
+    by Bott's formula at the fixed points of X (`localised_fibre_integrals`),
+    so no Chow-ring code: the divisor and the bundle's roots are read once,
+    as integer vectors over their denominators."""
+    _check_request(space, divisor, space.dimension)
+    vector, t = divisor.linear_coefficients()
+    if isinstance(space, ProjProduct):
+        return localised_fibre_integrals(space.dims, (), vector, t)
+    roots = []
+    for root in space.bundle.roots:
+        coefficients, den = root.linear_coefficients()
+        if den != 1:
+            raise DomainError("the roots of the bundle must be integral")
+        roots.append(coefficients)
+    return localised_fibre_integrals(space.base.dims, tuple(roots), vector, t)
 
 
 def closed_form(dimension: int, integrals: list[Fraction]) -> Fraction:
@@ -193,7 +197,8 @@ def hilb2_degree(space: SpaceDescriptor, divisor: TruncPoly) -> Fraction:
     (a) the closed form
         (1/2) binom(2d, d) (int M^d)^2
         - 2^{d-1} sum_m binom(2d, d+m) 2^{-m} int M^{d-m} s_m(X),
-        `closed_form` of the direct `fibre_integrals`,
+        `closed_form` of the direct `fibre_integrals`, localised at the
+        fixed points of X,
     (b) half the X x X integral of the pair pushforward in power 2d,
         (1/2) sum_m binom(2d, m) int (M boxplus M)^{2d-m} * e_m, e_m the
         blow-up pushforward of the m-th exceptional power, from this

@@ -17,8 +17,13 @@ Pipelines, which must agree exactly on every instance:
   for the divisor (pullback of c1 L) + z, whose closed route reads the
   same direct I_m and whose blow-up route shares nothing with the others.
 
-`degree2_all` computes the table and the direct I_m once; no compared pair
-of values shares either of them.
+The Segre-pair table and the direct I_m are sums over torus-fixed points
+(`bott`): the table localises on S, with the twist added to the roots
+there, and the direct I_m localise on P(E), with L pulled back.  Neither
+touches the Chow-ring kernel, which only the blow-up route uses, so every
+value of `degree2_all` and of the geometric pipeline is a localised route
+confirmed against a kernel route.  `degree2_all` computes the table and the
+direct I_m once; no compared pair of values shares either of them.
 
 The class-level computation pushes powers of the tautological divisor of
 the two-point Hilbert scheme of P(E) down to S x S; the double-cover factor
@@ -36,6 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
+from .bott import localised_segre_pairs
 from .errors import CrossCheckError, DomainError, confirm
 from .exactpoly import (
     DegreePolynomial,
@@ -64,14 +70,9 @@ from .varieties import (
     SplitBundle,
     bundle_power_pushforward,
     divisor_from_vector,
-    integrate,
-    integrate_product,
     pullback_to_bundle,
     ring_of,
     segre_class,  # unused here; perfbench's tracer test wraps quot2.segre_class
-    segre_scheme,
-    segre_total,
-    twist,
     zeta,
 )
 
@@ -133,24 +134,14 @@ def degree2_formula(inst: Quot2Instance) -> Fraction:
 
 def _segre_pairs(inst: Quot2Instance) -> SegrePairs:
     """The pair integrals P[k][j] = int s_k(S) s_{d-k-j}(EL) s_j(EL) of the
-    twisted bundle EL = `twist`(E, L) as integer numerators over one
-    denominator, and int s_d(EL) by `integrate`.  P[k][j] = P[k][d-k-j], so
-    each unordered pair is formed and integrated once."""
-    S, d = inst.S, inst.d
-    segre_EL = segre_total(twist(inst.E, inst.Lc1))
-    segre_S = segre_scheme(S)
-    P = []
-    for k in range(d + 1):
-        s_k = segre_S.graded_part(k)
-        row = [0] * (d - k + 1)
-        for j in range((d - k) // 2 + 1):
-            i = d - k - j
-            pair = segre_EL.graded_part(i) * segre_EL.graded_part(j)
-            row[j] = row[i] = integrate_product(S, s_k, pair)
-        P.append(row)
-    den = lcm(*(x.denominator for row in P for x in row))
-    P = [[x.numerator * (den // x.denominator) for x in row] for row in P]
-    return P, den, integrate(S, segre_EL.graded_part(d))
+    twisted bundle EL, with roots D_i + c1(L), as integer numerators over one
+    denominator, and int s_d(EL), by Bott's formula at the fixed points of S
+    (`localised_segre_pairs`).  The roots and the twist are read once, as
+    integer vectors over their common denominator."""
+    read = [c.linear_coefficients() for c in (*inst.E.roots, inst.Lc1)]
+    t = lcm(*(den for _, den in read))
+    *roots, L = (tuple(x * (t // den) for x in vector) for vector, den in read)
+    return localised_segre_pairs(inst.S.dims, tuple(roots), L, t)
 
 
 def _formula(inst: Quot2Instance, pairs: SegrePairs) -> Fraction:
@@ -236,9 +227,9 @@ def degree2_projbundle(inst: Quot2Instance) -> Fraction:
     Each closed I_m is checked against its definition as an integral over
     P(E twisted), taken as P(E) with O(1) twisted by L: the direct
     `fibre_integrals` of M = (pullback of c1 L) + z, which route (a) of
-    `hilb2_degree` also reads.  The closed side twists on S and the direct
-    side pulls L back, so a wrong twist shows as a mismatch, which aborts
-    the run.
+    `hilb2_degree` also reads.  The closed side twists the roots at the
+    fixed points of S and the direct side pulls L back to P(E), so a wrong
+    twist shows as a mismatch, which aborts the run.
     """
     X, M = _bundle_divisor(inst)
     return _projbundle(inst, _segre_pairs(inst), fibre_integrals(X, M))

@@ -187,12 +187,12 @@ def zeta(space: ProjBundle) -> TruncPoly:
 
 
 def divisor_from_vector(space: SpaceDescriptor, coeffs: Sequence) -> TruncPoly:
-    """Degree-1 class from integer coefficients over the ring generators."""
+    """Degree-1 class from integer coefficients over the ring generators,
+    built in its one degree bucket (`TruncPoly.linear`)."""
     ring = ring_of(space)
     if len(coeffs) != ring.ngens:
         raise DomainError(f"divisor vector must have length {ring.ngens}")
-    units = [tuple(int(j == i) for j in range(ring.ngens)) for i in range(ring.ngens)]
-    return TruncPoly(ring, zip(units, coeffs))
+    return TruncPoly.linear(ring, coeffs)
 
 
 def block_embed(space: SpaceDescriptor, l: int, m: int, a: TruncPoly) -> TruncPoly:

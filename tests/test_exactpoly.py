@@ -22,6 +22,7 @@ from quotdeg.varieties import (
     SplitBundle,
     divisor_from_vector,
     power_ring,
+    ring_of,
     segre_scheme,
 )
 
@@ -497,3 +498,21 @@ def test_generator_matches_the_constructor_on_the_instance_matrix():
             unit = tuple(int(j == i) for j in range(ring.ngens))
             assert TruncPoly.generator(ring, i) == TruncPoly(ring, [(unit, 1)]), (ring.names, i)
     assert TruncPoly.generator(rings[-1], 0).is_zero()
+
+
+def test_linear_builds_and_reads_degree_one_classes():
+    rng = random.Random(50)
+    S = ProjProduct((1, 2))
+    E = SplitBundle(tuple(divisor_from_vector(S, v) for v in ((1, 2), (2, 1), (0, 1))))
+    rank_one = SplitBundle((divisor_from_vector(S, (1, -2)),))
+    for space in (S, ProjBundle(S, E), ProjBundle(S, rank_one), ProjProduct((3,))):
+        ring = ring_of(space)
+        units = [tuple(int(j == i) for j in range(ring.ngens)) for i in range(ring.ngens)]
+        for _ in range(100):
+            vec = [rng.choice((0, 1, -3, 2, Fraction(1, 2), Fraction(-5, 6))) for _ in units]
+            built = TruncPoly.linear(ring, vec)
+            assert built == TruncPoly(ring, zip(units, vec)), (space, vec)
+            numerators, den = built.linear_coefficients()
+            if ring.truncations[-1] > 1:  # every generator keeps its coefficient
+                assert [Fraction(x, den) for x in numerators] == vec
+            assert TruncPoly.linear(ring, [Fraction(x, den) for x in numerators]) == built

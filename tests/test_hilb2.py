@@ -231,14 +231,18 @@ def test_box_powers_match_repeated_kernel_products():
 
 
 def test_blowup_route_takes_its_own_powers_of_the_divisor(monkeypatch):
-    # the closed route sees the powers of 2M and the blow-up route those of
-    # M, so the routes must disagree; powers shared between the routes would
-    # both be those of 2M and agree
+    # the closed route localises 2M and the blow-up route takes the powers of
+    # M, so the routes must disagree; a divisor or powers shared between the
+    # routes would both be those of 2M and agree
     from quotdeg import hilb2
     from quotdeg.errors import CrossCheckError
 
-    original = hilb2._closed_powers
-    monkeypatch.setattr(hilb2, "_closed_powers", lambda M, top: original(2 * M, top))
+    original = hilb2.localised_fibre_integrals
+
+    def doubled(dims, roots, divisor, t):
+        return original(dims, roots, tuple(2 * x for x in divisor), t)
+
+    monkeypatch.setattr(hilb2, "localised_fibre_integrals", doubled)
     for space, M in ((P2, hyperplane(P2, 0)), (P1xP1, divisor_from_vector(P1xP1, (1, 2)))):
         with pytest.raises(CrossCheckError, match="hilb2 degree routes disagree"):
             hilb2_degree(space, M)

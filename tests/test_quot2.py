@@ -487,15 +487,19 @@ P1xP2_RANK3 = json.dumps(
 
 @pytest.mark.parametrize("points", [["--n", "2"], ["--sweep", "n=0..5"]], ids=["n", "sweep"])
 def test_projbundle_pipeline_catches_a_corrupted_twist(capsys, monkeypatch, points):
-    # the closed side twists on S and the direct side pulls L back to P(E),
-    # so a wrong twist no longer passes both sides of the comparison
+    # the closed side twists the roots at the fixed points of S and the direct
+    # side pulls L back to P(E), so a wrong twist no longer passes both sides
+    # of the comparison
     argv = ["degree2", "--input", P1xP2_RANK3, "--pipeline", "projbundle", *points]
     assert main(argv) == 0
     capsys.readouterr()
-    # roots + 2L in place of roots + L, wherever quot2 twists
-    monkeypatch.setattr(
-        quot2, "twist", lambda E, L: SplitBundle(tuple(root + 2 * L for root in E.roots))
-    )
+    # roots + 2L in place of roots + L, where the closed side twists
+    real = quot2.localised_segre_pairs
+
+    def doubled(dims, roots, twist, t):
+        return real(dims, roots, tuple(2 * x for x in twist), t)
+
+    monkeypatch.setattr(quot2, "localised_segre_pairs", doubled)
     assert main(argv) == 3
     assert json.loads(capsys.readouterr().out)["error"].startswith("fibre integral I_0 mismatch")
 
@@ -537,8 +541,15 @@ def test_degree2_polynomial_verification_point_names_both_values(monkeypatch):
 
 
 def test_projbundle_i0_check_names_both_values(monkeypatch):
-    # only the top Segre integral reads quot2.integrate; the I_m checks pass
-    monkeypatch.setattr(quot2, "integrate", lambda space, a: integrate(space, a) + 1)
+    # only the top Segre integral is off by one; the I_m checks read the
+    # pair table, so they pass
+    real = quot2.localised_segre_pairs
+
+    def shifted(dims, roots, twist, t):
+        P, den, sd = real(dims, roots, twist, t)
+        return P, den, sd + 1
+
+    monkeypatch.setattr(quot2, "localised_segre_pairs", shifted)
     for space, E in [(P1, bundle(P1, (0,), (0,))), (P2, bundle(P2, (1,), (0,)))]:
         instance = inst(space, E, 2)
         closed0 = quot2._fibre_integrals_closed(instance, quot2._segre_pairs(instance))[0]
@@ -582,25 +593,21 @@ def test_degree2_all_computes_each_shared_piece_once(monkeypatch, space, vectors
         monkeypatch.setattr(module, name, counted)
 
     count(quot2, "_segre_pairs", "quot2._segre_pairs")
-    count(quot2, "twist", "quot2.twist")
+    count(quot2, "localised_segre_pairs", "quot2.localised_segre_pairs")
     count(quot2, "fibre_integrals", "quot2.fibre_integrals")
     count(hilb2, "fibre_integrals", "hilb2.fibre_integrals")
-    count(hilb2, "_closed_powers", "hilb2._closed_powers")
-    count(TruncPoly, "__mul__", "TruncPoly.__mul__")
+    count(hilb2, "localised_fibre_integrals", "hilb2.localised_fibre_integrals")
     assert degree2_all(instance) == want
-    # one Segre-pair table from one twist, one set of direct fibre integrals
-    # from one running set of powers of M
-    assert calls["quot2._segre_pairs"] == calls["quot2.twist"] == 1
-    assert calls["quot2.fibre_integrals"] == calls["hilb2._closed_powers"] == 1
+    # one localised Segre-pair table, one localised set of direct fibre integrals
+    assert calls["quot2._segre_pairs"] == calls["quot2.localised_segre_pairs"] == 1
+    assert calls["quot2.fibre_integrals"] == calls["hilb2.localised_fibre_integrals"] == 1
     assert calls["hilb2.fibre_integrals"] == 0
-    shared = calls["TruncPoly.__mul__"]
     calls.clear()
     for pipeline in (degree2_formula, degree2_projbundle, degree2_geometric):
         assert pipeline(instance) == want
     # the three pipelines one at a time take two tables and two sets of integrals
-    assert calls["quot2._segre_pairs"] == 2
-    assert calls["quot2.fibre_integrals"] + calls["hilb2.fibre_integrals"] == 2
-    assert shared < calls["TruncPoly.__mul__"]
+    assert calls["quot2.localised_segre_pairs"] == 2
+    assert calls["hilb2.localised_fibre_integrals"] == 2
 
 
 def degree2_n_report(capsys):
@@ -663,3 +670,135 @@ def test_a_corrupted_blowup_route_fails_the_hilb2_routes(capsys, monkeypatch):
     report = degree2_n_report(capsys)
     assert report["routes"] == "hilb2 degree routes disagree: closed form vs blow-up route"
     assert report["values"] == ["125434236", "125434237"]
+
+
+@pytest.fixture
+def cold_segre_caches():
+    """The caches that hold tangent or Segre classes of spaces, or classes
+    built from them, emptied before and after the test: the tangent class of
+    P(E) reads its base's through the module, and only when it is not cached."""
+    from quotdeg import hilb2, varieties
+
+    caches = (
+        varieties.tangent_chern,
+        varieties.segre_scheme,
+        hilb2.blowup_power_pushforward,
+        hilb2._exceptional_split,
+    )
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_a_corrupted_tangent_class_fails_the_localised_closed_route(
+    capsys, monkeypatch, cold_segre_caches
+):
+    # c(T) times (1 + h_1) on every product space, so on the base of P(E) too:
+    # every class the kernel routes read is wrong in the same way, and only
+    # the localised closed route of the two-point degree reads none of them
+    from quotdeg import varieties
+
+    real = varieties.tangent_chern
+
+    def corrupted(space):
+        value = real(space)
+        if isinstance(space, ProjProduct):
+            ring = ring_of(space)
+            value = value * (TruncPoly.one(ring) + TruncPoly.generator(ring, 0))
+        return value
+
+    monkeypatch.setattr(varieties, "tangent_chern", corrupted)
+    report = degree2_n_report(capsys)
+    assert report["routes"] == "hilb2 degree routes disagree: closed form vs blow-up route"
+    assert report["values"][0] == "125434236"
+
+
+def _bott_mutant(name, old, new):
+    """`bott.<name>` with the one occurrence of `old` in its source replaced
+    by `new`, compiled against the module's own names, with a cache of its
+    own."""
+    import inspect
+
+    from quotdeg import bott
+
+    source = inspect.getsource(getattr(bott, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(bott))
+    exec(compile(source.replace(old, new), bott.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+# h_f -> +q_f in place of -q_f, at the one place each evaluation restricts
+# the hyperplane classes
+P1xP2_SPACE = '{"type": "projective_product", "dims": [1, 2]}'
+SIGN_MUTANTS = {
+    "segre-pairs-on-S": ("_base", ["degree2", "--input", P1xP2_RANK3, "--n", "2"]),
+    "fibre-integrals-on-S": ("_base", ["hilb2", "--space", P1xP2_SPACE, "--divisor", "2,3"]),
+    "fibre-integrals-on-P(E)": ("_bundle", ["degree2", "--input", P1xP2_RANK3, "--n", "2"]),
+    "fibre-integrals-on-P(E)-geometric": (
+        "_bundle",
+        ["degree2", "--input", P1xP2_RANK3, "--n", "2", "--pipeline", "geometric"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SIGN_MUTANTS))
+def test_a_sign_mutant_of_each_localised_evaluation_exits_3(capsys, monkeypatch, case):
+    from quotdeg import bott
+
+    name, argv = SIGN_MUTANTS[case]
+    assert main(argv) == 0
+    capsys.readouterr()
+    mutant = _bott_mutant(name, "[-q[f] for q in points]", "[q[f] for q in points]")
+    monkeypatch.setattr(bott, name, mutant)
+    assert main(argv) == 3
+    report = json.loads(capsys.readouterr().out)
+    if argv[0] == "degree2" and "geometric" not in argv:
+        # the first check of degree2_all compares the two localisations
+        assert report["routes"] == "fibre integral I_0 mismatch: closed vs direct"
+    else:
+        assert report["routes"] == "hilb2 degree routes disagree: closed form vs blow-up route"
+
+
+@pytest.fixture
+def cold_bott_caches():
+    """The fixed-point columns of every space, emptied before and after."""
+    from quotdeg import bott
+
+    caches = (bott._fixed_points, bott._base, bott._bundle)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_a_dropped_tangent_weight_fails_the_divisibility_check(monkeypatch, cold_bott_caches):
+    # each fixed point one tangent weight short: the Euler weights and the
+    # Segre classes of the space are then wrong, and the sums are no longer
+    # multiples of the lcm of the Euler weights.  On P1xP2 that lcm is 2, so
+    # the check sees a parity only: with h_1 + h_2 the sums on S turn odd,
+    # with 2h_1 + 2h_2 they happen to stay even
+    from quotdeg import bott, hilb2
+    from quotdeg.varieties import ProjBundle, pullback_to_bundle, zeta
+
+    real = bott._fixed_points
+
+    def short(dims):
+        points, tangent = real(dims)
+        return points, tangent[:-1]
+
+    monkeypatch.setattr(bott, "_fixed_points", short)
+    S = ProjProduct((1, 2))
+    instance = Quot2Instance(S, bundle(S, (1, 2), (2, 1), (0, 1)), divisor_from_vector(S, (2, 2)))
+    X = ProjBundle(S, instance.E)
+    M = pullback_to_bundle(X, instance.Lc1) + zeta(X)
+    for evaluate in (
+        lambda: quot2._segre_pairs(instance),
+        lambda: hilb2.fibre_integrals(S, divisor_from_vector(S, (1, 1))),
+        lambda: hilb2.fibre_integrals(X, M),
+    ):
+        with pytest.raises(CrossCheckError, match="the lcm of the Euler weights"):
+            evaluate()
