@@ -199,7 +199,7 @@ def localised_fibre_integrals(
     out = [Fraction(0)] * (D + 1)
     for m in range(D, -1, -1):
         total = _exact(sum(map(mul, space.segre[m], power)), space.den)
-        out[m] = Fraction(total, t ** (D - m)) if t != 1 else Fraction(total)
+        out[m] = Fraction(total, t ** (D - m))
         if m:
             power = list(map(mul, power, M))
     return out
