@@ -26,7 +26,11 @@ column), and a product of classes is a product entry by entry.  A space keeps
 N, the lcm of its e_p (prod_f d_f! on S), and its Segre columns weighted by
 N / e_p, so an integral is one sum(map(mul, ...)) over the points.  The
 integral of an integral class is an integer, so every such sum must be
-divisible by N; a remainder raises `CrossCheckError`.  Rational inputs come
+divisible by N, and a class below top degree integrates to 0, so each
+weighted Segre column of degree m < dim must sum to 0.  The second check is
+made once per cached space and checks the Euler weights where N is too small
+for the first to see much (N = 2 on P^1 x P^2).  A failure of either raises
+`CrossCheckError`.  Rational inputs come
 as integer vectors over one denominator t, and a sum of degree k in them is
 divided back by t^k after that check.
 
@@ -96,13 +100,22 @@ def _space(
     generators: list[list[int]], tangent: list[list[int]], segre: list[list[int]]
 ) -> _Space:
     """The space with these tangent weight and Segre columns: the Euler
-    weights e_p, their lcm N, and the Segre columns weighted by N / e_p."""
+    weights e_p, their lcm N, and the Segre columns weighted by N / e_p.
+    A class below top degree integrates to 0, so each weighted column but
+    the last must sum to 0; a nonzero sum raises `CrossCheckError`."""
     euler = [1] * len(segre[0])
     for weights in tangent:
         euler = list(map(mul, euler, weights))
     den = lcm(*euler)
     weight = [den // e for e in euler]
-    return _Space(generators, den, [list(map(mul, weight, column)) for column in segre])
+    weighted = [list(map(mul, weight, column)) for column in segre]
+    for m, column in enumerate(weighted[:-1]):
+        total = sum(column)
+        if total:
+            raise CrossCheckError(
+                f"Bott sum {total} of s_{m} is not 0, though s_{m} is below top degree"
+            )
+    return _Space(generators, den, weighted)
 
 
 def _restrict(generators: list[list[int]], vector: Vector) -> list[int]:

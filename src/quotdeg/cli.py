@@ -5,11 +5,11 @@ CSV for sweeps) on standard output, and exits with 0 on success, 2 on
 invalid input, 3 on an internal cross-check failure.  All numeric output is
 exact rational strings; output is byte-stable for fixed inputs and seed.
 
-JSON inputs are checked against the three schemas below by a small walker
-in this module; JSON's integral floats (``2.0``) count as integers and are
-read as ints.  jsonschema is imported only when the walker rejects an input,
-to word the error exactly as ``jsonschema.validate`` words it, so a valid
-command never pays for importing it.
+JSON inputs are checked field by field as they are read, by the
+`_parse_*` functions: each rejection is one line that names the JSON path
+and what failed, such as ``instance['base']['dims'][0] must be at least 1``.
+An integral float such as ``2.0`` counts as an integer and is read as an
+int, as in JSON Schema.
 """
 
 from __future__ import annotations
@@ -46,113 +46,6 @@ from .varieties import (
     divisor_from_vector,
 )
 
-BASE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "type": {"const": "projective_product"},
-        "dims": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-    },
-    "required": ["type", "dims"],
-    "additionalProperties": False,
-}
-
-INSTANCE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "base": BASE_SCHEMA,
-        "bundle": {
-            "type": "object",
-            "properties": {
-                "roots": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"type": "integer"}},
-                    "minItems": 1,
-                }
-            },
-            "required": ["roots"],
-            "additionalProperties": False,
-        },
-        "twist": {"type": "array", "items": {"type": "integer"}},
-        "l": {"type": "integer", "minimum": 1},
-        "n": {"type": "integer"},
-    },
-    "required": ["base"],
-    "additionalProperties": False,
-}
-
-SPACE_SCHEMA = {
-    "oneOf": [
-        BASE_SCHEMA,
-        {
-            "type": "object",
-            "properties": {"base": BASE_SCHEMA, "bundle": INSTANCE_SCHEMA["properties"]["bundle"]},
-            "required": ["base", "bundle"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-
-# the JSON types the schemas name; an integer is any integral number but a bool
-_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "integer": lambda x: (
-        not isinstance(x, bool) and (isinstance(x, int) or isinstance(x, float) and x.is_integer())
-    ),
-}
-
-
-def _conforms(schema, data) -> bool:
-    """Whether `data` is valid for `schema` under Draft 2020-12, for the
-    keywords the schemas above use; any other keyword raises, so a schema
-    edit cannot go unchecked."""
-    if isinstance(schema, bool):
-        return schema
-    is_object, is_array = isinstance(data, dict), isinstance(data, list)
-    for keyword, value in schema.items():
-        if keyword == "type":
-            ok = _TYPES[value](data)
-        elif keyword == "const":  # JSON equality, which tells a bool from a number
-            ok = data == value and isinstance(data, bool) == isinstance(value, bool)
-        elif keyword == "properties":
-            ok = not is_object or all(_conforms(value[k], data[k]) for k in value if k in data)
-        elif keyword == "required":
-            ok = not is_object or all(k in data for k in value)
-        elif keyword == "additionalProperties":
-            named = schema.get("properties", {})
-            ok = not is_object or all(_conforms(value, data[k]) for k in data if k not in named)
-        elif keyword == "items":
-            ok = not is_array or all(_conforms(value, x) for x in data)
-        elif keyword == "minItems":
-            ok = not is_array or len(data) >= value
-        elif keyword == "minimum":
-            ok = isinstance(data, bool) or not isinstance(data, (int, float)) or data >= value
-        elif keyword == "oneOf":
-            ok = sum(_conforms(branch, data) for branch in value) == 1
-        else:
-            raise NotImplementedError(f"schema keyword {keyword!r} is not checked")
-        if not ok:
-            return False
-    return True
-
-
-def _validate(schema, data) -> None:
-    """Accept `data`, or raise a DomainError worded as ``jsonschema.validate``
-    words it: the best match among all errors, not the first one found."""
-    if _conforms(schema, data):
-        return
-    from jsonschema import Draft202012Validator
-    from jsonschema.exceptions import best_match
-
-    error = best_match(Draft202012Validator(schema).iter_errors(data))
-    if error is None:
-        raise CrossCheckError(
-            f"the schema walker rejects what jsonschema accepts: {json.dumps(data)}"
-        )
-    raise DomainError(str(error))
-
-
 def _load_json(text_or_path: str):
     """Inline JSON or the path of a JSON file: text that starts with `{` is
     JSON, and any other text is read as a path only if it is not JSON."""
@@ -168,49 +61,105 @@ def _load_json(text_or_path: str):
         raise DomainError(str(exc)) from None
 
 
-def _ints(values) -> list[int]:
-    """A validated integer array, its integral floats read as ints."""
-    return [int(x) for x in values]
+def _where(path: tuple) -> str:
+    """A JSON path, worded as in ``instance['base']['dims'][0]``."""
+    return "instance" + "".join(f"[{key!r}]" for key in path)
+
+
+def _object(data, path: tuple, required: tuple, allowed: tuple) -> None:
+    """Check that `data` is a JSON object with every key of `required` and no
+    key outside `allowed`."""
+    if not isinstance(data, dict):
+        raise DomainError(f"{_where(path)} must be an object")
+    for key in required:
+        if key not in data:
+            raise DomainError(f"{_where(path + (key,))} is missing")
+    for key in data:
+        if key not in allowed:
+            raise DomainError(f"{_where(path + (key,))} is not allowed")
+
+
+def _int(value, path: tuple, minimum: int | None = None) -> int:
+    """A JSON integer, that is any integral number but a bool, read as an int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise DomainError(f"{_where(path)} must be an integer")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{_where(path)} must be at least {minimum}")
+    return value
+
+
+def _array(data, path: tuple, nonempty: bool = False) -> list:
+    """`data`, a JSON array, which must not be empty if `nonempty`."""
+    if not isinstance(data, list):
+        raise DomainError(f"{_where(path)} must be an array")
+    if nonempty and not data:
+        raise DomainError(f"{_where(path)} must not be empty")
+    return data
+
+
+def _int_array(data, path: tuple, minimum: int | None = None, nonempty: bool = False) -> list[int]:
+    """A JSON array of integers, each at least `minimum` if one is given."""
+    return [_int(x, path + (i,), minimum) for i, x in enumerate(_array(data, path, nonempty))]
 
 
 def _int_field(data, key, default=None):
-    """A validated integer field of an instance, or `default` if absent."""
+    """An integer field of a checked instance, or `default` if absent."""
     return int(data[key]) if key in data else default
 
 
-def _parse_base(obj) -> ProjProduct:
-    return ProjProduct(tuple(_ints(obj["dims"])))
+def _parse_base(obj, path: tuple = ()) -> ProjProduct:
+    _object(obj, path, ("type", "dims"), ("type", "dims"))
+    if obj["type"] != "projective_product":
+        raise DomainError(f"{_where(path + ('type',))} must be 'projective_product'")
+    return ProjProduct(tuple(_int_array(obj["dims"], path + ("dims",), minimum=1, nonempty=True)))
 
 
-def _parse_bundle(space: ProjProduct, obj) -> SplitBundle:
-    roots = []
-    for vec in obj["roots"]:
+def _roots(obj, path: tuple) -> list[list[int]]:
+    """The root vectors of a bundle object."""
+    _object(obj, path, ("roots",), ("roots",))
+    path += ("roots",)
+    roots = _array(obj["roots"], path, nonempty=True)
+    return [_int_array(vec, path + (i,)) for i, vec in enumerate(roots)]
+
+
+def _parse_bundle(space: ProjProduct, roots: list[list[int]]) -> SplitBundle:
+    divisors = []
+    for vec in roots:
         if len(vec) != len(space.dims):
             raise DomainError("each root needs one coefficient per factor")
-        roots.append(divisor_from_vector(space, _ints(vec)))
-    return SplitBundle(tuple(roots))
+        divisors.append(divisor_from_vector(space, vec))
+    return SplitBundle(tuple(divisors))
 
 
 def _parse_instance(data) -> tuple[ProjProduct, SplitBundle, TruncPoly]:
-    _validate(INSTANCE_SCHEMA, data)
-    S = _parse_base(data["base"])
-    if "bundle" not in data:
+    """S, E and the twist direction of an instance; every field is checked
+    before any field is compared with another."""
+    _object(data, (), ("base",), ("base", "bundle", "twist", "l", "n"))
+    S = _parse_base(data["base"], ("base",))
+    roots = _roots(data["bundle"], ("bundle",)) if "bundle" in data else None
+    twist = _int_array(data["twist"], ("twist",)) if "twist" in data else [1] * len(S.dims)
+    if "l" in data:
+        _int(data["l"], ("l",), minimum=1)
+    if "n" in data:
+        _int(data["n"], ("n",))
+    if roots is None:
         raise DomainError("instance needs a bundle")
-    E = _parse_bundle(S, data["bundle"])
-    twist_vec = _ints(data.get("twist", [1] * len(S.dims)))
-    if len(twist_vec) != len(S.dims):
+    E = _parse_bundle(S, roots)
+    if len(twist) != len(S.dims):
         raise DomainError("twist vector needs one coefficient per factor")
-    direction = divisor_from_vector(S, twist_vec)
-    return S, E, direction
+    return S, E, divisor_from_vector(S, twist)
 
 
 def _parse_space(text: str):
+    """A base, or a base and a bundle on it."""
     data = _load_json(text)
-    _validate(SPACE_SCHEMA, data)
-    if "base" in data:
-        S = _parse_base(data["base"])
-        return ProjBundle(S, _parse_bundle(S, data["bundle"]))
-    return _parse_base(data)
+    if not (isinstance(data, dict) and ("base" in data or "bundle" in data)):
+        return _parse_base(data)
+    _object(data, (), ("base", "bundle"), ("base", "bundle"))
+    S = _parse_base(data["base"], ("base",))
+    return ProjBundle(S, _parse_bundle(S, _roots(data["bundle"], ("bundle",))))
 
 
 def _rational(text: str) -> Fraction:
@@ -288,13 +237,11 @@ def _cmd_hilb2(args) -> int:
 
 
 def _cmd_nu(args) -> int:
-    data = _load_json(args.space)
-    _validate(BASE_SCHEMA, data)
-    space = _parse_base(data)
+    space = _parse_base(_load_json(args.space))
     roots = _vector_list(args.roots)
     if not roots:
         raise DomainError("a split bundle needs at least one root")
-    E = _parse_bundle(space, {"roots": roots})
+    E = _parse_bundle(space, roots)
     if args.l < 1:
         raise DomainError("l must be positive")
     rep = nu_class(space, E, args.l, args.k)

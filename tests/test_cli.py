@@ -1,5 +1,7 @@
+import ast
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,71 +204,71 @@ def test_leading_l_from_file(capsys, tmp_path):
     assert json.loads(out) == {"l": 2, "value": "108"}
 
 
+# -- the JSON checks against jsonschema ---------------------------------------
+
+# The CLI's JSON formats as Draft 2020-12 schemas: the reference that the
+# checks of cli._parse_* are compared with.  jsonschema is a test dependency
+# only; no command imports it.
+BASE_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "type": {"const": "projective_product"},
+        "dims": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
+    },
+    "required": ["type", "dims"],
+    "additionalProperties": False,
+}
+
+INSTANCE_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "base": BASE_SCHEMA,
+        "bundle": {
+            "type": "object",
+            "properties": {
+                "roots": {
+                    "type": "array",
+                    "items": {"type": "array", "items": {"type": "integer"}},
+                    "minItems": 1,
+                }
+            },
+            "required": ["roots"],
+            "additionalProperties": False,
+        },
+        "twist": {"type": "array", "items": {"type": "integer"}},
+        "l": {"type": "integer", "minimum": 1},
+        "n": {"type": "integer"},
+    },
+    "required": ["base"],
+    "additionalProperties": False,
+}
+
+SPACE_SCHEMA = {
+    "oneOf": [
+        BASE_SCHEMA,
+        {
+            "type": "object",
+            "properties": {"base": BASE_SCHEMA, "bundle": INSTANCE_SCHEMA["properties"]["bundle"]},
+            "required": ["base", "bundle"],
+            "additionalProperties": False,
+        },
+    ]
+}
+
+_SCHEMAS = {"BASE_SCHEMA": BASE_SCHEMA, "INSTANCE_SCHEMA": INSTANCE_SCHEMA, "SPACE_SCHEMA": SPACE_SCHEMA}
+
 _BASE = {"type": "projective_product", "dims": [1]}
 _BUNDLE = {"roots": [[0], [1]]}
 
 
-@pytest.mark.parametrize(
-    "argv, data, schema_name",
-    [
-        # minimum
-        (["degree2", "--n", "1", "--input"],
-         {"base": {"type": "projective_product", "dims": [0]}, "bundle": _BUNDLE}, "INSTANCE_SCHEMA"),
-        (["mu2", "--k", "0", "--input"], {"base": _BASE, "bundle": _BUNDLE, "l": 0}, "INSTANCE_SCHEMA"),
-        # required
-        (["degree2", "--n", "1", "--input"], {"base": {"type": "projective_product"}}, "INSTANCE_SCHEMA"),
-        (["delta2", "--input"], {"base": _BASE, "bundle": {}}, "INSTANCE_SCHEMA"),
-        # additionalProperties
-        (["degree2", "--n", "1", "--input"], {"base": _BASE, "bundle": _BUNDLE, "extra": 1}, "INSTANCE_SCHEMA"),
-        # an item type
-        (["degree2", "--n", "1", "--input"], {"base": _BASE, "bundle": {"roots": [["0"], [1]]}}, "INSTANCE_SCHEMA"),
-        (["leading", "--l", "2", "--input"], {"base": _BASE, "bundle": _BUNDLE, "twist": [1.5]}, "INSTANCE_SCHEMA"),
-        # several errors at once: the best match, not the first found
-        (["degree2", "--n", "1", "--input"],
-         {"base": {"type": "projective_product", "dims": [0]}, "bundle": {"roots": [[0.5]]}, "extra": 1},
-         "INSTANCE_SCHEMA"),
-        # the oneOf of the space schema, with errors under both branches
-        (["hilb2", "--divisor", "1", "--space"], {"type": "projective_product", "dims": [1], "x": 0}, "SPACE_SCHEMA"),
-        (["hilb2", "--divisor", "1", "--space"], {"base": _BASE, "bundle": {"roots": []}}, "SPACE_SCHEMA"),
-        # the base schema
-        (["nu", "--roots", "0;1", "--l", "2", "--k", "0", "--space"],
-         {"type": "projective_line", "dims": [1]}, "BASE_SCHEMA"),
-        (["nu", "--roots", "0;1", "--l", "2", "--k", "0", "--space"],
-         {"type": "projective_product", "dims": []}, "BASE_SCHEMA"),
-        # inline JSON that is not an object is read as JSON, not as a path
-        (["degree2", "--n", "1", "--input"], [1], "INSTANCE_SCHEMA"),
-        (["degree2", "--n", "1", "--input"], None, "INSTANCE_SCHEMA"),
-        (["hilb2", "--divisor", "1", "--space"], [1], "SPACE_SCHEMA"),
-        (["hilb2", "--divisor", "1", "--space"], "inst.json", "SPACE_SCHEMA"),
-        (["nu", "--roots", "0;1", "--l", "2", "--k", "0", "--space"], 1, "BASE_SCHEMA"),
-    ],
-)
-def test_invalid_input_error_matches_jsonschema_validate(capsys, argv, data, schema_name):
-    import jsonschema
-
-    from quotdeg import cli
-
-    with pytest.raises(jsonschema.ValidationError) as raised:
-        jsonschema.validate(data, getattr(cli, schema_name))
-    code, out = run(capsys, argv + [json.dumps(data)])
-    assert code == 2
-    assert out == json.dumps({"error": str(raised.value)}) + "\n"
-
-
 def test_schemas_are_valid_for_their_validators():
-    # a rejection is worded by the Draft 2020-12 validator, so each schema
-    # must be a valid Draft 2020-12 schema and select that validator
     from jsonschema import Draft202012Validator
     from jsonschema.validators import validator_for
 
-    from quotdeg import cli
-
-    for schema in (cli.BASE_SCHEMA, cli.INSTANCE_SCHEMA, cli.SPACE_SCHEMA):
+    for schema in _SCHEMAS.values():
         assert validator_for(schema) is Draft202012Validator
         Draft202012Validator.check_schema(schema)
 
-
-# -- the schema walker against jsonschema -------------------------------------
 
 _VALID = {
     "BASE_SCHEMA": [_BASE, {"type": "projective_product", "dims": [2, 1]}],
@@ -280,7 +282,7 @@ _VALID = {
         {"base": {"type": "projective_product", "dims": [2]}, "bundle": {"roots": [[0], [1]]}},
     ],
 }
-# the command that validates each schema, its input last
+# the command that reads each format, its input last
 _COMMAND = {
     "BASE_SCHEMA": ["nu", "--roots", "0;1", "--l", "2", "--k", "0", "--space"],
     "INSTANCE_SCHEMA": ["degree2", "--n", "1", "--input"],
@@ -343,63 +345,50 @@ def _corpus(seed):
                 yield schema_name, copy
 
 
-def test_walker_agrees_with_jsonschema(capsys):
-    # jsonschema.validate is check_schema, then the best match among the
-    # errors of a Draft 2020-12 validator; the schemas are checked once above
+# the messages of the checks that compare one field with another, which no
+# schema states
+_CROSS_FIELD = {
+    "instance needs a bundle",
+    "each root needs one coefficient per factor",
+    "twist vector needs one coefficient per factor",
+    "divisor vector must have length 2",
+}
+
+
+def _names_a_path(data, message) -> bool:
+    """Whether `message` starts with a JSON path into `data`: of a value
+    there, or of a key missing from an object there."""
+    match = re.match(r"instance((?:\[[^]]*\])*) (must|is) ", message)
+    if match is None:
+        return False
+    keys = [ast.literal_eval(key) for key in re.findall(r"\[([^]]*)\]", match[1])]
+    node = data
+    for i, key in enumerate(keys):
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return i == len(keys) - 1 and message.endswith(" is missing")
+    return True
+
+
+def test_json_checks_agree_with_jsonschema(capsys):
+    # a document jsonschema rejects exits 2 naming the path that fails; one
+    # it accepts prints its value or fails a check across fields
     from jsonschema import Draft202012Validator
-    from jsonschema.exceptions import best_match
 
-    from quotdeg import cli
-
-    validators = {name: Draft202012Validator(getattr(cli, name)) for name in _VALID}
+    validators = {name: Draft202012Validator(schema) for name, schema in _SCHEMAS.items()}
     seen = {True: 0, False: 0}
     for schema_name, data in _corpus(20261018):
-        error = best_match(validators[schema_name].iter_errors(data))
-        accepted = cli._conforms(getattr(cli, schema_name), data)
-        assert accepted == (error is None), data
+        accepted = validators[schema_name].is_valid(data)
         seen[accepted] += 1
-        if not accepted:
-            code, out = run(capsys, _COMMAND[schema_name] + [json.dumps(data)])
-            assert (code, out) == (2, json.dumps({"error": str(error)}) + "\n"), data
+        code, out = run(capsys, _COMMAND[schema_name] + [json.dumps(data)])
+        assert out.count("\n") == 1, data
+        error = json.loads(out).get("error")
+        if accepted:
+            assert code == 0 or (code == 2 and error in _CROSS_FIELD), (data, out)
+        else:
+            assert code == 2 and _names_a_path(data, error), (data, out)
     assert min(seen.values()) > 50, seen
-
-
-@pytest.mark.parametrize(
-    "schema, data",
-    [
-        # no input of the schemas above tells these apart
-        ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, 1),
-        ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, -1),
-        ({"const": 1}, True),
-        ({"const": 1}, 1.0),
-        ({"minimum": 1}, False),
-        ({"additionalProperties": {"type": "integer"}}, {"a": 1, "b": "x"}),
-        ({"properties": {"a": False}}, {"a": 1}),
-    ],
-)
-def test_walker_agrees_with_jsonschema_on_general_schemas(schema, data):
-    from jsonschema import Draft202012Validator
-
-    from quotdeg import cli
-
-    assert cli._conforms(schema, data) == Draft202012Validator(schema).is_valid(data)
-
-
-def test_walker_refuses_an_unknown_keyword():
-    from quotdeg import cli
-
-    with pytest.raises(NotImplementedError, match="maxItems"):
-        cli._conforms({"type": "array", "maxItems": 1}, [])
-
-
-def test_walker_rejection_that_jsonschema_accepts_exits_3(capsys, monkeypatch, p1_rank2):
-    from quotdeg import cli
-
-    monkeypatch.setattr(cli, "_conforms", lambda schema, data: False)
-    code, out = run(capsys, ["degree2", "--input", p1_rank2, "--n", "2"])
-    assert code == 3
-    assert "jsonschema accepts" in json.loads(out)["error"]
-    assert '"roots": [[0], [0]]' in json.loads(out)["error"]
 
 
 _P1_INSTANCE = {"base": _BASE, "bundle": {"roots": [[0], [0]]}, "twist": [1], "l": 2, "n": 2}
@@ -438,37 +427,30 @@ def test_integral_floats_read_as_integers(capsys, argv, data):
     assert run(capsys, argv + [floated]) == (code, out)
 
 
-def test_valid_commands_do_not_import_jsonschema():
-    commands = [
-        ["degree2", "--input", json.dumps(_P1_INSTANCE), "--n", "2"],
-        ["hilb2", "--space", json.dumps(_BASE), "--divisor", "3"],
-        ["nu", "--space", json.dumps(_P2_SPACE), "--roots", "1;1", "--l", "2", "--k", "1"],
-    ]
+def test_no_command_imports_jsonschema():
+    # with sys.modules["jsonschema"] = None, any import of it raises
     script = (
-        "import sys\nfrom quotdeg.cli import main\n"
-        f"codes = [main(argv) for argv in {commands!r}]\n"
-        "print(codes, 'jsonschema' in sys.modules)\n"
+        "import runpy, sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "runpy.run_module('quotdeg', run_name='__main__')\n"
     )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert [json.loads(line)["degree"] for line in lines[:2]] == ["22", "4"]
-    assert lines[3] == "[0, 0, 0] False"
-    # an invalid input prints the same line as when jsonschema checked every input
-    bad = {"base": {"type": "projective_product", "dims": [0]}, "bundle": {"roots": [[True]]}}
-    result = subprocess.run(
-        [sys.executable, "-m", "quotdeg", "degree2", "--input", json.dumps(bad), "--n", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 2
-    error = (
-        "0 is less than the minimum of 1\n\n"
-        "Failed validating 'minimum' in schema['properties']['base']['properties']['dims']['items']:\n"
-        "    {'type': 'integer', 'minimum': 1}\n\n"
-        "On instance['base']['dims'][0]:\n    0"
-    )
-    assert result.stdout == json.dumps({"error": error}) + "\n"
+    nu = ["nu", "--roots", "1;1", "--l", "2", "--k", "1", "--space"]
+    no_dims = {"base": {**_BASE, "dims": [0]}, "bundle": _BUNDLE}
+    commands = [
+        (["degree2", "--n", "2", "--input", json.dumps(_P1_INSTANCE)], 0, '{"degree": "22"'),
+        (["hilb2", "--divisor", "3", "--space", json.dumps(_BASE)], 0, '{"degree": "4"'),
+        (nu + [json.dumps(_P2_SPACE)], 0, '{"l": 2, "k": 1, "class": {'),
+        (["degree2", "--n", "1", "--input", json.dumps(no_dims)], 2,
+         json.dumps({"error": "instance['base']['dims'][0] must be at least 1"})),
+        (["hilb2", "--divisor", "1", "--space", json.dumps({"base": _BASE, "bundle": {"roots": []}})], 2,
+         json.dumps({"error": "instance['bundle']['roots'] must not be empty"})),
+        (nu + [json.dumps({**_P2_SPACE, "x": 0})], 2, json.dumps({"error": "instance['x'] is not allowed"})),
+    ]
+    for argv, code, start in commands:
+        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert result.returncode == code, result.stderr
+        assert result.stdout.startswith(start) and result.stdout.count("\n") == 1, result.stdout
+        json.loads(result.stdout)
 
 
 def test_shared_parser_leaks_no_state(capsys, p1_rank2):

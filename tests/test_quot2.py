@@ -777,28 +777,30 @@ def cold_bott_caches():
 
 def test_a_dropped_tangent_weight_fails_the_divisibility_check(monkeypatch, cold_bott_caches):
     # each fixed point one tangent weight short: the Euler weights and the
-    # Segre classes of the space are then wrong, and the sums are no longer
-    # multiples of the lcm of the Euler weights.  On P1xP2 that lcm is 2, so
-    # the check sees a parity only: with h_1 + h_2 the sums on S turn odd,
-    # with 2h_1 + 2h_2 they happen to stay even
+    # Segre classes of the space are then wrong, and the Segre classes below
+    # top degree no longer integrate to 0.  The lcm of the Euler weights on
+    # P1xP2 is 2, so divisibility by it sees a parity only: with the last
+    # column dropped and 2h_1 + 2h_2 the sums on S stay even
     from quotdeg import bott, hilb2
     from quotdeg.varieties import ProjBundle, pullback_to_bundle, zeta
 
     real = bott._fixed_points
-
-    def short(dims):
-        points, tangent = real(dims)
-        return points, tangent[:-1]
-
-    monkeypatch.setattr(bott, "_fixed_points", short)
     S = ProjProduct((1, 2))
     instance = Quot2Instance(S, bundle(S, (1, 2), (2, 1), (0, 1)), divisor_from_vector(S, (2, 2)))
     X = ProjBundle(S, instance.E)
     M = pullback_to_bundle(X, instance.Lc1) + zeta(X)
-    for evaluate in (
-        lambda: quot2._segre_pairs(instance),
-        lambda: hilb2.fibre_integrals(S, divisor_from_vector(S, (1, 1))),
-        lambda: hilb2.fibre_integrals(X, M),
-    ):
-        with pytest.raises(CrossCheckError, match="the lcm of the Euler weights"):
-            evaluate()
+    for dropped in range(3):  # each tangent column of P1xP2
+
+        def short(dims, dropped=dropped):
+            points, tangent = real(dims)
+            return points, tangent[:dropped] + tangent[dropped + 1 :]
+
+        monkeypatch.setattr(bott, "_fixed_points", short)
+        for evaluate in (
+            lambda: quot2._segre_pairs(instance),
+            lambda: hilb2.fibre_integrals(S, divisor_from_vector(S, (1, 1))),
+            lambda: hilb2.fibre_integrals(S, divisor_from_vector(S, (2, 2))),
+            lambda: hilb2.fibre_integrals(X, M),
+        ):
+            with pytest.raises(CrossCheckError, match="is not 0, though s_. is below top degree"):
+                evaluate()
